@@ -15,7 +15,7 @@ use weakord_core::{
 #[cfg(feature = "bench")]
 use weakord_mc::machines::BnrMachine;
 #[cfg(feature = "bench")]
-use weakord_mc::{explore_reduced, explore_seq, Limits};
+use weakord_mc::{explore, explore_seq, Limits, Reduction};
 #[cfg(feature = "bench")]
 use weakord_progs::delay::delay_set;
 #[cfg(feature = "bench")]
@@ -81,7 +81,9 @@ fn bench(c: &mut Criterion) {
         b.iter(|| explore_seq(&BnrMachine, black_box(&spin), Limits::default()).states)
     });
     group.bench_function("explore/spinlock-bnr/reduced", |b| {
-        b.iter(|| explore_reduced(&BnrMachine, black_box(&spin), Limits::default()).states)
+        b.iter(|| {
+            explore(&BnrMachine, black_box(&spin), Limits::with_reduction(Reduction::Sleep)).states
+        })
     });
     group.bench_function("event-queue/schedule+pop 10k", |b| {
         b.iter(|| {

@@ -1,8 +1,9 @@
 //! Explorer-engine benchmark: writes `BENCH_explore.json`.
 //!
 //! Measures the lock-free explorer (`weakord_mc::explore`) against the
-//! frozen pre-lock-free baseline (`weakord_mc::explore_legacy`) on
-//! three generated corpus shapes × {sc, tso, pso}, reporting states/sec,
+//! sequential reference (`weakord_mc::explore_seq`), measured in the
+//! same run, on three generated corpus shapes × {sc, tso, pso},
+//! reporting states/sec,
 //! a peak-RSS proxy (live heap bytes tracked by a counting global
 //! allocator), and spill bytes for a disk-budgeted run. See
 //! EXPERIMENTS.md § E13 for the methodology and the committed numbers.
@@ -16,8 +17,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use weakord_bench::experiments::SEQ_FLOOR;
 use weakord_mc::machines::{PsoMachine, ScMachine, TsoMachine};
-use weakord_mc::{explore, explore_legacy, Exploration, Limits};
+use weakord_mc::{explore, explore_seq, Exploration, Limits};
 use weakord_progs::{gen, Program};
 
 /// Tracks live and peak heap bytes. "Peak RSS proxy": resident set
@@ -163,19 +165,19 @@ fn main() {
     }
     let mut rows: Vec<Row> = Vec::new();
     for (name, prog) in shapes() {
-        for (machine, run_new, run_old) in [
+        for (machine, run_new, run_seq) in [
             (
                 "sc",
                 &(|p: &Program, l| explore(&ScMachine, p, l))
                     as &dyn Fn(&Program, Limits) -> Exploration,
-                &(|p: &Program, l| explore_legacy(&ScMachine, p, l))
+                &(|p: &Program, l| explore_seq(&ScMachine, p, l))
                     as &dyn Fn(&Program, Limits) -> Exploration,
             ),
-            ("tso", &|p, l| explore(&TsoMachine, p, l), &|p, l| explore_legacy(&TsoMachine, p, l)),
-            ("pso", &|p, l| explore(&PsoMachine, p, l), &|p, l| explore_legacy(&PsoMachine, p, l)),
+            ("tso", &|p, l| explore(&TsoMachine, p, l), &|p, l| explore_seq(&TsoMachine, p, l)),
+            ("pso", &|p, l| explore(&PsoMachine, p, l), &|p, l| explore_seq(&PsoMachine, p, l)),
         ] {
             eprintln!("measuring {name} on {machine}…");
-            rows.push(measure(&name, machine, "legacy", 1, || run_old(&prog, limits())));
+            rows.push(measure(&name, machine, "seq", 1, || run_seq(&prog, limits())));
             rows.push(measure(&name, machine, "lockfree", 1, || run_new(&prog, limits())));
         }
     }
@@ -202,8 +204,8 @@ fn main() {
             }));
         }
     }
-    // Old-vs-new verdict on the largest measured shape (the acceptance
-    // criterion: >= 3x states/sec).
+    // The verdict on the largest measured shape: lock-free vs the
+    // same-run sequential baseline, against SEQ_FLOOR.
     let largest = rows
         .iter()
         .filter(|r| r.engine == "lockfree" && r.threads == 1)
@@ -211,8 +213,8 @@ fn main() {
         .expect("lockfree rows");
     let baseline = rows
         .iter()
-        .find(|r| r.engine == "legacy" && r.shape == largest.shape && r.machine == largest.machine)
-        .expect("matching legacy row");
+        .find(|r| r.engine == "seq" && r.shape == largest.shape && r.machine == largest.machine)
+        .expect("matching seq row");
     let speedup = largest.states_per_sec / baseline.states_per_sec;
 
     let mut out = String::new();
@@ -224,7 +226,7 @@ fn main() {
     );
     let _ = writeln!(
         out,
-        "  \"largest_shape\": {{\"shape\": \"{}\", \"machine\": \"{}\", \"states\": {}, \"speedup_vs_legacy\": {:.2}}},",
+        "  \"largest_shape\": {{\"shape\": \"{}\", \"machine\": \"{}\", \"states\": {}, \"speedup_vs_seq\": {:.2}, \"floor\": {SEQ_FLOOR}}},",
         json_escape(&largest.shape),
         largest.machine,
         largest.states,
@@ -252,11 +254,11 @@ fn main() {
     std::fs::write("BENCH_explore.json", &out).expect("write BENCH_explore.json");
     println!("{out}");
     eprintln!(
-        "largest shape {} on {}: lockfree {:.0} vs legacy {:.0} states/s ({speedup:.2}x)",
+        "largest shape {} on {}: lockfree {:.0} vs seq {:.0} states/s ({speedup:.2}x)",
         largest.shape, largest.machine, largest.states_per_sec, baseline.states_per_sec
     );
-    if speedup < 3.0 {
-        eprintln!("WARNING: speedup below the 3x acceptance bar");
+    if speedup < SEQ_FLOOR {
+        eprintln!("WARNING: speedup below the {SEQ_FLOOR}x acceptance bar");
         std::process::exit(1);
     }
 }

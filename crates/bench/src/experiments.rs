@@ -23,7 +23,7 @@ use weakord_mc::machines::{
     BnrMachine, CacheDelayMachine, NetReorderMachine, PsoMachine, ScMachine, TsoMachine,
     WoDef1Machine, WoDef2Machine, WriteBufferMachine,
 };
-use weakord_mc::{check_weak_ordering, explore, explore_legacy, Limits, Machine, TraceLimits};
+use weakord_mc::{check_weak_ordering, explore, explore_seq, Limits, Machine, TraceLimits};
 use weakord_progs::workloads::{
     fig3_scenario, spin_broadcast, ticket_lock, tree_barrier, Fig3Params, SpinBroadcastParams,
     SpinlockParams, TreeBarrierParams,
@@ -838,34 +838,42 @@ pub fn e10_observability() -> Table {
     t
 }
 
+/// The states/sec the lock-free engine must reach on the largest
+/// explorer-benchmark shape, as a multiple of [`explore_seq`] measured
+/// in the same run. It carries over the former bar of 3x the frozen
+/// mutex-shard engine this repo used to keep as a baseline: that engine
+/// ran at 0.74x `explore_seq` on the shape (median of 51 interleaved
+/// pairs, one worker), so 3 x 0.74 = 2.22x.
+pub const SEQ_FLOOR: f64 = 2.22;
+
 /// E13 / explorer engines: the lock-free byte-encoded explorer against
-/// the frozen mutex-shard baseline ([`explore_legacy`]), on the
-/// `BENCH_explore.json` shapes × {sc, tso, pso}. Semantic agreement is
-/// checked on every cell; throughput (best of 7 with the engines'
-/// reps interleaved so host-load phases hit both, one worker, so the
-/// ratio measures per-state algorithmic cost rather than parallel
-/// scaling) must clear 3x on the largest shape; and a disk-budgeted
-/// run must complete a state space larger than its RAM budget with
-/// identical results. Committed numbers: `BENCH_explore.json` /
-/// EXPERIMENTS.md § E13.
+/// the sequential reference ([`explore_seq`]), measured in the same run
+/// on the `BENCH_explore.json` shapes × {sc, tso, pso}. Semantic
+/// agreement is checked on every cell; throughput (best of 7 with the
+/// engines' reps interleaved so host-load phases hit both, one worker,
+/// so the ratio measures per-state algorithmic cost rather than
+/// parallel scaling) must clear [`SEQ_FLOOR`] on the largest shape; and
+/// a disk-budgeted run must complete a state space larger than its RAM
+/// budget with identical results. Committed numbers:
+/// `BENCH_explore.json` / EXPERIMENTS.md § E13.
 pub fn e13_explore_engines() -> Table {
     let mut t = Table::new(
-        "E13 · explorer engines — lock-free vs mutex-shard baseline",
-        &["shape", "machine", "states", "legacy st/s", "lock-free st/s", "speedup", "spilled"],
+        "E13 · explorer engines — lock-free vs sequential reference",
+        &["shape", "machine", "states", "seq st/s", "lock-free st/s", "speedup", "spilled"],
     );
     fn limits() -> Limits {
         let mut l = Limits::with_threads(1);
         l.max_states = 4_000_000;
         l
     }
-    /// Best-of-7 wall clock per engine, reps interleaved legacy /
+    /// Best-of-7 wall clock per engine, reps interleaved seq /
     /// lock-free so a slow host phase lands on both engines instead of
     /// biasing whichever happened to run during it.
     fn cell<M: Machine>(m: &M, name: &str, prog: &Program, t: &mut Table) -> (bool, f64, usize) {
         let mut old: Option<weakord_mc::Exploration> = None;
         let mut new: Option<weakord_mc::Exploration> = None;
         for _ in 0..7 {
-            let o = explore_legacy(m, prog, limits());
+            let o = explore_seq(m, prog, limits());
             if old.as_ref().is_none_or(|b| o.stats.duration < b.stats.duration) {
                 old = Some(o);
             }
@@ -927,7 +935,10 @@ pub fn e13_explore_engines() -> Table {
         format!("{} st / {} B", spilled.stats.spilled_states, spilled.stats.spill_bytes),
     ]);
     t.check("both engines agree exactly on every shape x machine", agree_all);
-    t.check("lock-free clears 3x states/sec on the largest shape", largest.1 >= 3.0);
+    t.check(
+        format!("lock-free clears {SEQ_FLOOR}x explore_seq's states/sec on the largest shape"),
+        largest.1 >= SEQ_FLOOR,
+    );
     t.check(
         "a 4 MiB budget spills most states yet changes nothing",
         spilled == plain && spilled.stats.spilled_states > 0,

@@ -15,17 +15,18 @@
 //!
 //! ```text
 //! [0..6)   magic  b"WOCKPT"
-//! [6]      format version (currently 1)
+//! [6]      format version (currently 2, [`CKPT_VERSION`])
 //! [7]      reserved (0)
 //! [8..16)  FNV-1a-64 checksum of every byte from offset 16 on (LE)
-//! [16..24) configuration fingerprint (LE; see below)
-//! [24]     engine kind: 0 = parallel sharded engine, 1 = reduced
-//! [25..]   engine payload ([`Codec`]-encoded)
+//! [16..)   configuration fingerprint (LEB128 varint; see below), then
+//!          the engine kind byte (0 = parallel sharded engine,
+//!          1 = sleep-set engine), then the engine payload
+//!          ([`Codec`]-encoded)
 //! ```
 //!
 //! The **configuration fingerprint** hashes the program text (its
 //! canonical unparse), the machine name, the state cap, and the
-//! reduction mode. A resume refuses a checkpoint whose fingerprint
+//! reduction mode (which also names the engine). A resume refuses a checkpoint whose fingerprint
 //! does not match the resuming run's configuration — continuing a
 //! `wo-def2` exploration with an `sc` machine, a different program, or
 //! a different cap would silently produce a certificate for the wrong
@@ -235,8 +236,10 @@ pub enum CheckpointError {
         /// Fingerprint stored in the checkpoint.
         found: u64,
     },
-    /// The checkpoint belongs to the other engine (parallel vs
-    /// reduced).
+    /// The checkpoint holds the other engine's snapshot (parallel vs
+    /// sleep-set) although its fingerprint matches: the reduction mode
+    /// in the fingerprint names the engine, so only a damaged or
+    /// hand-edited file gets here.
     EngineMismatch {
         /// Engine kind byte the resuming run expected.
         expected: u8,
@@ -274,8 +277,8 @@ impl fmt::Display for CheckpointError {
             ),
             CheckpointError::EngineMismatch { expected, found } => write!(
                 f,
-                "checkpoint was written by the {} engine but this run resumes with the {} \
-                 engine (the --reduce flag must match the original run)",
+                "checkpoint holds a {} engine snapshot but its configuration selects the {} \
+                 engine; delete it and re-run without --resume",
                 engine_name(*found),
                 engine_name(*expected),
             ),
@@ -293,7 +296,7 @@ impl std::error::Error for CheckpointError {}
 fn engine_name(byte: u8) -> &'static str {
     match byte {
         0 => "parallel",
-        1 => "reduced",
+        1 => "sleep-set",
         _ => "unknown",
     }
 }
@@ -310,12 +313,13 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The configuration a checkpoint is pinned to: everything that
-/// changes *what is being explored*, nothing that only changes how
-/// fast (threads, deadline).
+/// changes *what is being explored* (and so the engine that explores
+/// it), nothing that only changes how fast (threads, deadline).
 pub fn config_fingerprint(machine_name: &str, prog: &Program, limits: &Limits) -> u64 {
     let reduction = match limits.reduction {
         Reduction::Full => "full",
         Reduction::Ample => "ample",
+        Reduction::Sleep => "sleep",
     };
     fingerprint(&(machine_name, unparse_program(prog), limits.max_states as u64, reduction))
 }
@@ -845,7 +849,7 @@ pub struct ReducedSnapshot<S> {
 pub enum Snapshot<S> {
     /// The parallel sharded engine ([`crate::explore`]).
     Parallel(ParallelSnapshot<S>),
-    /// The reduced sleep-set engine ([`crate::explore_reduced`]).
+    /// The sleep-set engine ([`Reduction::Sleep`]).
     Reduced(ReducedSnapshot<S>),
 }
 
@@ -1061,7 +1065,7 @@ mod tests {
         assert!(msg.contains("0x000000000000cafe"), "{msg}");
         let msg = CheckpointError::EngineMismatch { expected: 1, found: 0 }.to_string();
         assert!(msg.contains("parallel"), "{msg}");
-        assert!(msg.contains("reduced"), "{msg}");
+        assert!(msg.contains("sleep-set"), "{msg}");
     }
 
     #[test]
@@ -1124,5 +1128,28 @@ mod tests {
         );
         // Threads and deadline are resources, not semantics.
         assert_eq!(fp, config_fingerprint("sc", &lit.program, &Limits { threads: 9, ..base }));
+    }
+
+    /// Fingerprints are serve job ids, result-cache keys and checkpoint
+    /// pins, so they must not drift between releases. The values were
+    /// measured before the sleep-set engine became a reduction mode;
+    /// explicit limits keep `WEAKORD_MAX_STATES` out of the picture.
+    #[test]
+    fn fingerprints_are_stable_across_releases() {
+        let lit = weakord_progs::litmus::fig1_dekker();
+        let fp = |reduction| {
+            let limits = Limits {
+                max_states: 100_000,
+                threads: 1,
+                deadline: None,
+                reduction,
+                memory_budget: None,
+            };
+            config_fingerprint("wo-def2", &lit.program, &limits)
+        };
+        assert_eq!(fp(Reduction::Full), 0x3a72_0bf8_e2df_70f3);
+        assert_eq!(fp(Reduction::Ample), 0x3fb9_6954_4e3e_e000);
+        assert_ne!(fp(Reduction::Sleep), fp(Reduction::Full));
+        assert_ne!(fp(Reduction::Sleep), fp(Reduction::Ample));
     }
 }

@@ -5,9 +5,13 @@
 //! and are handled by deduplication, so unbounded spins do not prevent
 //! termination.
 //!
-//! Two engines share one result type:
+//! One entry point, [`run`], takes the run's [`Opts`] (cancellation,
+//! live progress, checkpoint/resume) and picks the engine from
+//! [`Limits::reduction`]; [`explore`] is `run` with no options. Two
+//! engines and one reference share one result type:
 //!
-//! * [`explore`] — the parallel engine: `limits.threads` workers under
+//! * the parallel engine ([`Reduction::Full`] and [`Reduction::Ample`]):
+//!   `limits.threads` workers under
 //!   [`std::thread::scope`] over the lock-free [`VisitedSet`] (an
 //!   open-addressing fingerprint table indexing an exact store of
 //!   [`Codec`]-encoded states — see [`crate::visited`]). Frontiers hold
@@ -21,16 +25,17 @@
 //!   no per-arc heap allocation. With
 //!   [`Limits::memory_budget`] set, encoded states past the budget
 //!   spill to disk and capacity is bounded by disk, not RAM.
+//! * the sleep-set engine ([`Reduction::Sleep`], see [`crate::reduce`]):
+//!   a sequential DFS that adds sleep sets to the ample-set pruning. It
+//!   preserves outcome and deadlock sets while visiting fewer states.
 //! * [`explore_seq`] — the classic single-threaded DFS over a plain
-//!   `HashSet`, kept as the reference for differential testing.
+//!   `HashSet`, kept as the reference for differential testing and as
+//!   the same-run baseline of the explorer benchmarks.
 //!
-//! (A third, [`crate::explore_legacy`], freezes the pre-lock-free
-//! mutex-shard engine as the benchmark baseline.)
-//!
-//! Both engines visit exactly the same set of states, so `outcomes` (an
-//! order-insensitive `BTreeSet`), `states`, and `deadlocks` are
-//! identical across engines and across runs whenever the exploration is
-//! not truncated. Run-specific diagnostics live in
+//! The parallel engine and the reference visit exactly the same set of
+//! states, so `outcomes` (an order-insensitive `BTreeSet`), `states`,
+//! and `deadlocks` are identical across them and across runs whenever
+//! the exploration is not truncated. Run-specific diagnostics live in
 //! [`ExplorationStats`], which is deliberately excluded from
 //! [`Exploration`]'s equality.
 
@@ -49,7 +54,7 @@ use crate::checkpoint::{
 };
 use crate::fxhash::{hash_bytes, FxBuildHasher};
 use crate::machine::{Label, Machine};
-use crate::reduce::{ample_index, FutureTable};
+use crate::reduce::{ample_index, run_sleep, FutureTable};
 use crate::visited::{Admit, ProbeTelemetry, VisitedSet};
 
 pub use crate::visited::N_SHARDS;
@@ -66,9 +71,9 @@ pub struct Limits {
     /// Wall-clock budget; exceeding it truncates the exploration
     /// (`outcomes` is then a lower bound, like hitting `max_states`).
     pub deadline: Option<Duration>,
-    /// Whether the engines prune the successor relation with the
-    /// partial-order reduction's persistent (ample) sets — see
-    /// [`crate::reduce`]. Outcome and deadlock sets are preserved;
+    /// Whether and how the run prunes the successor relation with the
+    /// partial-order reduction — see [`crate::reduce`]. [`run`] picks
+    /// the engine from it. Outcome and deadlock sets are preserved;
     /// `states` and `stats` shrink.
     pub reduction: Reduction,
     /// RAM ceiling, in bytes, for the visited set's resident footprint
@@ -81,17 +86,22 @@ pub struct Limits {
     pub memory_budget: Option<usize>,
 }
 
-/// Successor-pruning mode for the exploration engines.
+/// Successor-pruning mode, and with it the engine [`run`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Reduction {
-    /// Expand every enabled transition (the exhaustive baseline).
+    /// Expand every enabled transition (the exhaustive baseline) on
+    /// the parallel engine.
     #[default]
     Full,
     /// At each state, expand only a persistent (ample) subset of the
     /// enabled transitions when the dependence analysis finds one
     /// (see [`crate::reduce`]); outcome and deadlock sets are provably
-    /// unchanged.
+    /// unchanged. Runs on the parallel engine.
     Ample,
+    /// Ample sets plus sleep sets, which also prune redundant arcs
+    /// between the states the search keeps. Runs on the sequential
+    /// sleep-set engine ([`explore_seq`] treats it as `Ample`).
+    Sleep,
 }
 
 impl Default for Limits {
@@ -129,7 +139,12 @@ impl Limits {
 
     /// Default limits with ample-set reduction enabled.
     pub fn reduced() -> Self {
-        Limits { reduction: Reduction::Ample, ..Limits::default() }
+        Limits::with_reduction(Reduction::Ample)
+    }
+
+    /// Default limits with an explicit reduction mode.
+    pub fn with_reduction(reduction: Reduction) -> Self {
+        Limits { reduction, ..Limits::default() }
     }
 
     /// Default limits with a visited-set memory budget (bytes).
@@ -147,14 +162,14 @@ impl Limits {
     }
 }
 
-/// A cooperative, job-granular cancellation hook for the parallel
-/// engine.
+/// A cooperative, job-granular cancellation hook for an exploration.
 ///
 /// Cloning shares the flag: hand one clone to the exploration (via
-/// [`explore_with_cancel`] and friends) and keep the other; calling
+/// [`Opts::cancel`]) and keep the other; calling
 /// [`CancelToken::cancel`] from any thread stops the run at the next
 /// worker safepoint — the same per-arc granularity as the wall-clock
-/// deadline, so a cancel lands within one machine step per worker. A
+/// deadline, so a cancel lands within one machine step per worker (the
+/// sleep-set engine checks once per state, at its loop top). A
 /// cancelled run truncates with [`TruncationReason::Cancelled`]; when
 /// checkpointing is on, the final checkpoint is still written, so a
 /// cancelled job is resumable exactly like a suspended one.
@@ -186,9 +201,9 @@ impl CancelToken {
 /// atomically by the engine and readable from any thread.
 ///
 /// Construction follows [`CancelToken`]: cloning shares the counters,
-/// so hand one clone to the exploration (via [`explore_with_progress`]
-/// and friends) and keep the other to [`ProgressSink::sample`] from a
-/// monitor thread. The engine samples at the existing worker
+/// so hand one clone to the exploration (via [`Opts::progress`]) and
+/// keep the other to [`ProgressSink::sample`] from a monitor thread.
+/// The engine samples at the existing worker
 /// safepoints — the same loop-top/per-pop cadence as the deadline and
 /// cancel checks — and batches like [`ProbeTelemetry`]: one worker
 /// elects itself publisher when the sampling interval elapses (a CAS
@@ -288,6 +303,48 @@ impl ProgressSink {
             mem_bytes: p.mem_bytes.load(Ordering::Relaxed),
             elapsed: Duration::from_nanos(p.elapsed_nanos.load(Ordering::Relaxed)),
         }
+    }
+
+    /// The progress safepoint both engines share: if a sample is due,
+    /// elect the caller publisher (a CAS on the due time) and store
+    /// `sample()`. Not-yet-due calls and losers of the CAS race return
+    /// after one clock read, and no path allocates.
+    pub(crate) fn tick(&self, sample: impl FnOnce() -> ProgressSnapshot) {
+        let p = &self.inner;
+        let now = p.epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let due = p.next_due.load(Ordering::Relaxed);
+        if now >= due
+            && p.next_due
+                .compare_exchange(
+                    due,
+                    now.saturating_add(p.interval_nanos),
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                )
+                .is_ok()
+        {
+            self.publish(&sample());
+        }
+    }
+
+    /// Stores `s` (its `seq` is ignored) and bumps the publication
+    /// count: atomic stores only. Engines also call it once at the end,
+    /// so a monitor sees the closing counters even when the run ends
+    /// inside one sampling interval.
+    pub(crate) fn publish(&self, s: &ProgressSnapshot) {
+        let p = &self.inner;
+        p.states.store(s.states, Ordering::Relaxed);
+        p.frontier.store(s.frontier, Ordering::Relaxed);
+        p.dedup_hits.store(s.dedup_hits, Ordering::Relaxed);
+        p.dedup_probes.store(s.dedup_probes, Ordering::Relaxed);
+        p.pruned_arcs.store(s.pruned_arcs, Ordering::Relaxed);
+        p.steals.store(s.steals, Ordering::Relaxed);
+        p.worker_panics.store(s.worker_panics, Ordering::Relaxed);
+        p.table_capacity.store(s.table_capacity, Ordering::Relaxed);
+        p.mem_bytes.store(s.mem_bytes, Ordering::Relaxed);
+        p.elapsed_nanos
+            .store(s.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64, Ordering::Relaxed);
+        p.seq.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -695,7 +752,7 @@ const DEADLINE_CHECK_EVERY: u32 = 128;
 /// How often a worker re-checks whether a progress sample is due,
 /// in state pops. Only decremented when a [`ProgressSink`] is attached;
 /// without one the progress path is a single untaken branch per pop.
-const PROGRESS_CHECK_EVERY: u32 = 64;
+pub(crate) const PROGRESS_CHECK_EVERY: u32 = 64;
 
 /// Per-worker cap on decoded states kept in the hot tail. Beyond it the
 /// oldest entries park in the shared frontier as bare ids: worker
@@ -726,21 +783,71 @@ pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Serializes quiescent snapshots to stable storage. A `dyn` trait so
-/// the [`Engine`] can hold a sink without caring where it writes.
-trait SnapshotSink<S>: Sync {
-    fn write(&self, snap: &Snapshot<S>) -> Result<(), CheckpointError>;
+/// Where a run's checkpoint lives, if it has one — see [`Opts`].
+#[derive(Debug, Clone, Copy, Default)]
+pub enum Checkpoint<'a> {
+    /// No crash tolerance: nothing is read or written.
+    #[default]
+    Off,
+    /// Start fresh and autosave into the config's directory every
+    /// `every` admitted states, plus a final save when the run stops
+    /// for any reason (so deadline-truncated, cancelled and even
+    /// completed runs are resumable).
+    Fresh(&'a CheckpointCfg),
+    /// Continue from the checkpoint in the config's directory, and keep
+    /// autosaving there. The checkpoint's configuration fingerprint
+    /// must match this run's machine, program, state cap and reduction
+    /// mode (thread count, deadline and memory budget may differ —
+    /// they are resources, not semantics), or the run is refused with
+    /// [`CheckpointError::ConfigMismatch`]. The final `outcomes`,
+    /// `states` and `deadlocks` equal an uninterrupted run's.
+    Resume(&'a CheckpointCfg),
 }
 
-/// The file-backed sink: [`checkpoint::save`] under this run's
-/// configuration fingerprint.
-struct FileSink<'a> {
-    cfg: &'a CheckpointCfg,
+/// The options of one [`run`]. `Opts::default()` is a plain run: not
+/// cancellable, unmonitored, not checkpointed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Opts<'a> {
+    /// Stops the run at the next safepoint once cancelled; the run
+    /// truncates with [`TruncationReason::Cancelled`].
+    pub cancel: Option<&'a CancelToken>,
+    /// Receives periodic counter samples. Pure observation: results
+    /// are identical with or without a sink.
+    pub progress: Option<&'a ProgressSink>,
+    /// Crash tolerance: autosave, and optionally resume first.
+    pub checkpoint: Checkpoint<'a>,
+}
+
+/// A run's checkpoint file, pinned to its configuration fingerprint.
+/// Both engines save and load through it.
+#[derive(Clone, Copy)]
+pub(crate) struct CkptSink<'a> {
+    pub(crate) cfg: &'a CheckpointCfg,
     fp: u64,
 }
 
-impl<S: Codec> SnapshotSink<S> for FileSink<'_> {
-    fn write(&self, snap: &Snapshot<S>) -> Result<(), CheckpointError> {
+impl<'a> CkptSink<'a> {
+    /// Resolves a run's checkpoint option into the sink it autosaves
+    /// through and, when resuming, the snapshot to continue from.
+    /// Computes the fingerprint only when checkpointing is on: plain
+    /// runs pay nothing for it.
+    pub(crate) fn open<S: Codec>(
+        checkpoint: Checkpoint<'a>,
+        machine: &str,
+        prog: &Program,
+        limits: &Limits,
+    ) -> Result<(Option<Self>, Option<Snapshot<S>>), CheckpointError> {
+        let (cfg, resume) = match checkpoint {
+            Checkpoint::Off => return Ok((None, None)),
+            Checkpoint::Fresh(cfg) => (cfg, false),
+            Checkpoint::Resume(cfg) => (cfg, true),
+        };
+        let sink = CkptSink { cfg, fp: config_fingerprint(machine, prog, limits) };
+        let snap = if resume { Some(checkpoint::load(cfg, sink.fp)?) } else { None };
+        Ok((Some(sink), snap))
+    }
+
+    pub(crate) fn write<S: Codec>(&self, snap: &Snapshot<S>) -> Result<(), CheckpointError> {
         checkpoint::save(self.cfg, self.fp, snap)
     }
 }
@@ -758,12 +865,8 @@ impl<S: Codec> SnapshotSink<S> for FileSink<'_> {
 /// local outcome/deadlock accumulators into `published` every time they
 /// park or retire, so the coordinator sees every result without
 /// joining.
-struct CkptState<'a, S> {
-    sink: &'a dyn SnapshotSink<S>,
-    /// Autosave period in admitted states (`0`: final save only).
-    every: usize,
-    /// Crash-injection hook: suspend after this many periodic saves.
-    abort_after: Option<u32>,
+struct CkptState<'a> {
+    sink: CkptSink<'a>,
     /// A coordinator holds this while the fleet is parked.
     pause: AtomicBool,
     /// Workers currently parked at the safepoint.
@@ -830,7 +933,7 @@ struct Engine<'a, M: Machine> {
     /// program).
     reduction: Option<FutureTable>,
     /// Checkpoint rendezvous, when the run checkpoints.
-    ckpt: Option<CkptState<'a, M::State>>,
+    ckpt: Option<CkptState<'a>>,
     /// Results merged in from a resumed checkpoint (empty otherwise):
     /// outcomes, deadlocks, checkpoints written, prior elapsed nanos.
     base: ResumeBase,
@@ -867,7 +970,14 @@ enum Step {
 }
 
 impl<'a, M: Machine> Engine<'a, M> {
-    fn new(machine: &'a M, prog: &'a Program, limits: Limits, workers: usize) -> Self {
+    fn new(
+        machine: &'a M,
+        prog: &'a Program,
+        limits: Limits,
+        workers: usize,
+        opts: &Opts<'_>,
+    ) -> Self {
+        let started = Instant::now();
         Engine {
             machine,
             prog,
@@ -880,9 +990,9 @@ impl<'a, M: Machine> Engine<'a, M> {
             deadline_hit: AtomicBool::new(false),
             resumable: AtomicBool::new(false),
             cancelled: AtomicBool::new(false),
-            cancel: None,
-            progress: None,
-            deadline_at: limits.deadline.map(|d| Instant::now() + d),
+            cancel: opts.cancel.cloned(),
+            progress: opts.progress.cloned(),
+            deadline_at: limits.deadline.map(|d| started + d),
             overshoot_nanos: AtomicU64::new(0),
             active: AtomicUsize::new(workers),
             worker_panics: AtomicU64::new(0),
@@ -891,43 +1001,28 @@ impl<'a, M: Machine> Engine<'a, M> {
             pruned_arcs: AtomicU64::new(0),
             reduction: match limits.reduction {
                 Reduction::Full => None,
-                Reduction::Ample => FutureTable::new(prog),
+                Reduction::Ample | Reduction::Sleep => FutureTable::new(prog),
             },
             ckpt: None,
             base: ResumeBase::default(),
-            started: Instant::now(),
+            started,
         }
     }
 
-    /// Attaches a cancellation token (before workers start).
-    fn with_cancel(mut self, cancel: Option<&CancelToken>) -> Self {
-        self.cancel = cancel.cloned();
-        self
-    }
-
-    /// Attaches a progress sink (before workers start).
-    fn with_progress(mut self, progress: Option<&ProgressSink>) -> Self {
-        self.progress = progress.cloned();
-        self
-    }
-
-    /// Attaches the checkpoint rendezvous (before workers start).
-    fn with_checkpointing(
-        mut self,
-        cfg: &'a CheckpointCfg,
-        sink: &'a dyn SnapshotSink<M::State>,
-    ) -> Self {
+    /// Attaches the checkpoint rendezvous (before workers start, after
+    /// a resumed visited set is rebuilt: the first periodic save is due
+    /// `every` admissions from here).
+    fn with_checkpointing(mut self, sink: CkptSink<'a>) -> Self {
         let workers = self.frontiers.len();
+        let every = sink.cfg.every;
         self.ckpt = Some(CkptState {
             sink,
-            every: cfg.every,
-            abort_after: cfg.abort_after,
             pause: AtomicBool::new(false),
             parked: AtomicUsize::new(0),
-            next_at: AtomicUsize::new(if cfg.every == 0 {
+            next_at: AtomicUsize::new(if every == 0 {
                 usize::MAX
             } else {
-                self.visited.len() + cfg.every
+                self.visited.len() + every
             }),
             written: AtomicU32::new(0),
             write_nanos: AtomicU64::new(0),
@@ -1015,56 +1110,36 @@ impl<'a, M: Machine> Engine<'a, M> {
         self.overshoot_nanos.fetch_max(ns as u64, Ordering::Relaxed);
     }
 
-    /// The progress safepoint: if a sample is due, elect this worker
-    /// publisher (CAS on the due time), flush its probe batch so the
-    /// shared counters are fresh, and store the snapshot. Loses of the
-    /// CAS race and not-yet-due calls return after one clock read —
-    /// and none of the paths allocates.
+    /// The progress safepoint: when a sample is due, flush this
+    /// worker's probe batch so the shared counters are fresh, then
+    /// publish (see [`ProgressSink::tick`]).
     fn progress_tick(&self, tel: &mut ProbeTelemetry) {
-        let Some(p) = &self.progress else { return };
-        let p = &p.inner;
-        let now = p.epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let due = p.next_due.load(Ordering::Relaxed);
-        if now < due
-            || p.next_due
-                .compare_exchange(
-                    due,
-                    now.saturating_add(p.interval_nanos),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                )
-                .is_err()
-        {
-            return;
+        if let Some(p) = &self.progress {
+            p.tick(|| {
+                self.visited.flush_telemetry(tel);
+                self.progress_sample()
+            });
         }
-        self.visited.flush_telemetry(tel);
-        self.publish_progress();
     }
 
-    /// Stores the current engine counters into the attached sink (a
-    /// no-op without one). Monotonicity: every source here is itself
-    /// monotone within one engine except `pending`, which is published
-    /// as the `frontier` gauge.
-    fn publish_progress(&self) {
-        let Some(p) = &self.progress else { return };
-        let p = &p.inner;
+    /// The engine's current counters as a progress sample. Every
+    /// source is monotone within one engine except `pending`, which is
+    /// published as the `frontier` gauge.
+    fn progress_sample(&self) -> ProgressSnapshot {
         let v = self.visited.counters();
-        p.states.store(self.visited.len() as u64, Ordering::Relaxed);
-        p.frontier.store(self.pending.load(Ordering::Relaxed) as u64, Ordering::Relaxed);
-        p.dedup_hits.store(v.dedup_hits, Ordering::Relaxed);
-        p.dedup_probes.store(v.dedup_probes, Ordering::Relaxed);
-        p.pruned_arcs.store(self.pruned_arcs.load(Ordering::Relaxed), Ordering::Relaxed);
-        p.steals.store(self.steals.load(Ordering::Relaxed), Ordering::Relaxed);
-        p.worker_panics.store(self.worker_panics.load(Ordering::Relaxed), Ordering::Relaxed);
-        p.table_capacity.store(v.table_capacity, Ordering::Relaxed);
-        p.mem_bytes.store(v.mem_bytes, Ordering::Relaxed);
-        p.elapsed_nanos.store(
-            self.base
-                .elapsed_nanos
-                .saturating_add(self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64),
-            Ordering::Relaxed,
-        );
-        p.seq.fetch_add(1, Ordering::Release);
+        ProgressSnapshot {
+            seq: 0,
+            states: self.visited.len() as u64,
+            frontier: self.pending.load(Ordering::Relaxed) as u64,
+            dedup_hits: v.dedup_hits,
+            dedup_probes: v.dedup_probes,
+            pruned_arcs: self.pruned_arcs.load(Ordering::Relaxed),
+            steals: self.steals.load(Ordering::Relaxed),
+            worker_panics: self.worker_panics.load(Ordering::Relaxed),
+            table_capacity: v.table_capacity,
+            mem_bytes: v.mem_bytes,
+            elapsed: Duration::from_nanos(self.base.elapsed_nanos) + self.started.elapsed(),
+        }
     }
 
     /// Copies a worker's cumulative results into its published slot so
@@ -1082,7 +1157,7 @@ impl<'a, M: Machine> Engine<'a, M> {
     fn ckpt_pending(&self) -> bool {
         self.ckpt.as_ref().is_some_and(|c| {
             c.pause.load(Ordering::SeqCst)
-                || (c.every != 0
+                || (c.sink.cfg.every != 0
                     && !c.failed.load(Ordering::Relaxed)
                     && self.visited.len() >= c.next_at.load(Ordering::Relaxed))
         })
@@ -1108,7 +1183,7 @@ impl<'a, M: Machine> Engine<'a, M> {
                 c.parked.fetch_sub(1, Ordering::SeqCst);
                 continue; // re-check: another save may begin immediately
             }
-            if c.every != 0
+            if c.sink.cfg.every != 0
                 && !self.stop.load(Ordering::Relaxed)
                 && !c.failed.load(Ordering::Relaxed)
                 && self.visited.len() >= c.next_at.load(Ordering::Relaxed)
@@ -1127,7 +1202,7 @@ impl<'a, M: Machine> Engine<'a, M> {
     /// Runs one checkpoint as the elected coordinator: wait for every
     /// other live worker to park, serialize the quiescent engine, then
     /// release the fleet.
-    fn coordinate(&self, worker: usize, c: &CkptState<'a, M::State>, out: &WorkerResult) {
+    fn coordinate(&self, worker: usize, c: &CkptState<'a>, out: &WorkerResult) {
         self.publish(worker, out);
         // Workers either park (parked += 1) or retire (active -= 1);
         // both make progress, so this terminates.
@@ -1144,8 +1219,8 @@ impl<'a, M: Machine> Engine<'a, M> {
                     Ordering::Relaxed,
                 );
                 let n = c.written.fetch_add(1, Ordering::SeqCst) + 1;
-                c.next_at.store(self.visited.len() + c.every, Ordering::SeqCst);
-                if c.abort_after.is_some_and(|k| n >= k) {
+                c.next_at.store(self.visited.len() + c.sink.cfg.every, Ordering::SeqCst);
+                if c.sink.cfg.abort_after.is_some_and(|k| n >= k) {
                     self.truncate(TruncationReason::Resumable);
                 }
             }
@@ -1465,10 +1540,74 @@ impl<'a, M: Machine> Engine<'a, M> {
         }
     }
 
-    fn into_exploration(self, results: Vec<WorkerResult>, started: Instant) -> Exploration {
-        // Final publication: monitors watching the sink see the closing
-        // counters even when the run ends inside one sampling interval.
-        self.publish_progress();
+    /// Rebuilds a checkpoint's visited set (re-encoding each state;
+    /// shard and id assignment are recomputed), restores the durable
+    /// counters it carried, and returns its frontier for [`Self::requeue`].
+    fn restore(&mut self, snap: ParallelSnapshot<M::State>) -> Vec<M::State> {
+        let mut buf = Vec::new();
+        for states in snap.shards {
+            for s in states {
+                buf.clear();
+                s.encode(&mut buf);
+                self.visited.insert(hash_bytes(&buf), &buf);
+            }
+        }
+        let c = snap.counters;
+        self.visited.restore_probe_counters(c.dedup_hits, c.dedup_probes);
+        self.steals.store(c.steals, Ordering::Relaxed);
+        self.pruned_arcs.store(c.pruned_arcs, Ordering::Relaxed);
+        self.peak_frontier
+            .store(usize::try_from(c.peak_frontier).unwrap_or(usize::MAX), Ordering::Relaxed);
+        self.worker_panics.store(u64::from(c.worker_panics), Ordering::Relaxed);
+        self.overshoot_nanos.store(c.overshoot_nanos, Ordering::Relaxed);
+        self.base = ResumeBase {
+            outcomes: snap.outcomes,
+            deadlocks: snap.deadlocks,
+            checkpoints: c.checkpoints,
+            elapsed_nanos: c.elapsed_nanos,
+            checkpoint_nanos: c.ckpt_write_nanos,
+        };
+        snap.frontier
+    }
+
+    /// Round-robins a restored frontier across the workers, mapped back
+    /// to ids (every frontier state is in the visited set by the
+    /// checkpoint invariant, so `insert` is a pure lookup here). An
+    /// empty frontier (the run had finished) just means the workers
+    /// drain out immediately and the stored results are returned as-is.
+    fn requeue(&self, frontier: Vec<M::State>) {
+        let mut buf = Vec::new();
+        for (i, s) in frontier.into_iter().enumerate() {
+            buf.clear();
+            s.encode(&mut buf);
+            let (id, fresh) = self.visited.insert(hash_bytes(&buf), &buf);
+            debug_assert!(!fresh, "checkpoint frontier states are admitted by construction");
+            self.pending.fetch_add(1, Ordering::SeqCst);
+            self.push_id(i % self.frontiers.len(), id);
+        }
+    }
+
+    /// Folds up the joined run. A checkpointed run first surfaces any
+    /// mid-run save failure and writes its final checkpoint, so
+    /// deadline/cap-truncated and even completed runs are resumable.
+    fn finish(self, results: Vec<WorkerResult>) -> Result<Exploration, CheckpointError> {
+        if let Some(c) = &self.ckpt {
+            if c.failed.load(Ordering::Relaxed) {
+                return Err(lock_clean(&c.error)
+                    .take()
+                    .unwrap_or(CheckpointError::Malformed("checkpoint write failed")));
+            }
+            let wrote = Instant::now();
+            c.sink.write(&Snapshot::Parallel(self.snapshot(self.truncation())))?;
+            c.write_nanos.fetch_add(
+                wrote.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
+                Ordering::Relaxed,
+            );
+            c.written.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(p) = &self.progress {
+            p.publish(&self.progress_sample());
+        }
         let mut outcomes = self.base.outcomes.clone();
         let mut deadlocks = usize::try_from(self.base.deadlocks).unwrap_or(usize::MAX);
         for r in results {
@@ -1480,7 +1619,7 @@ impl<'a, M: Machine> Engine<'a, M> {
         let v = self.visited.counters();
         let stats = ExplorationStats {
             distinct_states: self.visited.len(),
-            duration: Duration::from_nanos(self.base.elapsed_nanos) + started.elapsed(),
+            duration: Duration::from_nanos(self.base.elapsed_nanos) + self.started.elapsed(),
             dedup_hits: counters.dedup_hits,
             dedup_probes: counters.dedup_probes,
             peak_frontier: self.peak_frontier.load(Ordering::Relaxed),
@@ -1491,10 +1630,7 @@ impl<'a, M: Machine> Engine<'a, M> {
             worker_panics: counters.worker_panics,
             deadline_overshoot: Duration::from_nanos(counters.overshoot_nanos),
             checkpoints: counters.checkpoints,
-            checkpoint_time: Duration::from_nanos(
-                self.base.checkpoint_nanos
-                    + self.ckpt.as_ref().map_or(0, |c| c.write_nanos.load(Ordering::Relaxed)),
-            ),
+            checkpoint_time: Duration::from_nanos(counters.ckpt_write_nanos),
             probe_steps: v.probe_steps,
             table_capacity: v.table_capacity,
             spilled_states: v.spilled_states,
@@ -1502,80 +1638,73 @@ impl<'a, M: Machine> Engine<'a, M> {
             mem_bytes: v.mem_bytes,
             shard_states: Some(self.visited.shard_sizes()),
         };
-        Exploration { outcomes, states: stats.distinct_states, deadlocks, truncation, stats }
+        Ok(Exploration { outcomes, states: stats.distinct_states, deadlocks, truncation, stats })
     }
 }
 
-/// Explores the full reachable state space of `machine` running `prog`
-/// with `limits.threads` parallel workers (all available cores by
-/// default).
+/// Explores the reachable state space of `machine` running `prog`: the
+/// one entry point of the model checker.
 ///
-/// `outcomes`, `states`, `deadlocks`, and `truncated` are identical to
-/// [`explore_seq`]'s whenever the exploration is not truncated — the
-/// engines differ only in visit order, which the exact visited set
-/// makes unobservable. Truncated explorations stop at the same state
-/// count but may retain a different (schedule-dependent) sample of
-/// outcomes; both are lower bounds.
-pub fn explore<M: Machine>(machine: &M, prog: &Program, limits: Limits) -> Exploration {
-    explore_inner(machine, prog, limits, None)
-}
-
-/// [`explore`], stoppable mid-run through `cancel` — see
-/// [`CancelToken`] for the granularity guarantee. A cancelled run
-/// truncates with [`TruncationReason::Cancelled`] and its `outcomes`
-/// are a lower bound, exactly like a deadline truncation.
-pub fn explore_with_cancel<M: Machine>(
+/// The engine follows `limits.reduction`: [`Reduction::Full`] and
+/// [`Reduction::Ample`] run the parallel engine on `limits.threads`
+/// workers (all available cores by default), [`Reduction::Sleep`] the
+/// sequential sleep-set engine. A program too wide for the reduction's
+/// footprint masks runs `Sleep` as `Full`, and checkpoints under the
+/// `Full` configuration, so save and resume agree.
+///
+/// On the parallel engine, `outcomes`, `states`, `deadlocks`, and
+/// `truncated` are identical to [`explore_seq`]'s whenever the
+/// exploration is not truncated — the engines differ only in visit
+/// order, which the exact visited set makes unobservable. Truncated
+/// explorations stop at the same state count but may retain a
+/// different (schedule-dependent) sample of outcomes; both are lower
+/// bounds. The sleep-set engine preserves `outcomes` and `deadlocks`
+/// but visits fewer states.
+///
+/// `opts` adds cancellation, live progress and checkpoint/resume; see
+/// [`Opts`]. Only checkpoint IO can fail.
+pub fn run<M: Machine>(
     machine: &M,
     prog: &Program,
     limits: Limits,
-    cancel: &CancelToken,
-) -> Exploration {
-    explore_inner(machine, prog, limits, Some(cancel))
-}
-
-/// [`explore`], with live monitoring (and optionally cancellation):
-/// the engine publishes periodic [`ProgressSnapshot`]s into `progress`
-/// at the same worker safepoints the cancel/deadline checks use. The
-/// results are identical to an unmonitored run — progress is read-only
-/// observation, never perturbation.
-pub fn explore_with_progress<M: Machine>(
-    machine: &M,
-    prog: &Program,
-    limits: Limits,
-    cancel: Option<&CancelToken>,
-    progress: &ProgressSink,
-) -> Exploration {
-    explore_full(machine, prog, limits, cancel, Some(progress))
-}
-
-fn explore_inner<M: Machine>(
-    machine: &M,
-    prog: &Program,
-    limits: Limits,
-    cancel: Option<&CancelToken>,
-) -> Exploration {
-    explore_full(machine, prog, limits, cancel, None)
-}
-
-fn explore_full<M: Machine>(
-    machine: &M,
-    prog: &Program,
-    limits: Limits,
-    cancel: Option<&CancelToken>,
-    progress: Option<&ProgressSink>,
-) -> Exploration {
-    let started = Instant::now();
+    opts: &Opts<'_>,
+) -> Result<Exploration, CheckpointError> {
+    if limits.reduction == Reduction::Sleep {
+        return match FutureTable::new(prog) {
+            Some(table) => run_sleep(machine, prog, limits, &table, opts),
+            None => run(machine, prog, Limits { reduction: Reduction::Full, ..limits }, opts),
+        };
+    }
+    let (sink, snap) = CkptSink::open(opts.checkpoint, machine.name(), prog, &limits)?;
     let workers = limits.resolved_threads();
-    let engine =
-        Engine::new(machine, prog, limits, workers).with_cancel(cancel).with_progress(progress);
-    engine.seed_root();
+    let mut engine = Engine::new(machine, prog, limits, workers, opts);
+    let frontier = match snap {
+        None => None,
+        Some(Snapshot::Parallel(p)) => Some(engine.restore(p)),
+        Some(other) => {
+            return Err(CheckpointError::EngineMismatch { expected: 0, found: other.engine_byte() })
+        }
+    };
+    if let Some(sink) = sink {
+        engine = engine.with_checkpointing(sink);
+    }
+    match frontier {
+        Some(frontier) => engine.requeue(frontier),
+        None => engine.seed_root(),
+    }
     let results = run_workers(&engine, workers);
-    engine.into_exploration(results, started)
+    engine.finish(results)
 }
 
-/// Spawns the workers and joins them — shared by every parallel entry
-/// point. `join` cannot fail: worker panics are absorbed inside
-/// [`Engine::run_worker`], never propagated to the scope.
+/// [`run`] with no options: not cancellable, unmonitored, not
+/// checkpointed — and therefore infallible.
+pub fn explore<M: Machine>(machine: &M, prog: &Program, limits: Limits) -> Exploration {
+    run(machine, prog, limits, &Opts::default()).expect("a run without a checkpoint cannot fail")
+}
+
+/// Spawns the workers and joins them. `join` cannot fail: worker
+/// panics are absorbed inside [`Engine::run_worker`], never propagated
+/// to the scope.
 fn run_workers<M: Machine>(engine: &Engine<'_, M>, workers: usize) -> Vec<WorkerResult> {
     if workers == 1 {
         // Run in place: spawning a lone scoped thread buys nothing.
@@ -1592,226 +1721,14 @@ fn run_workers<M: Machine>(engine: &Engine<'_, M>, workers: usize) -> Vec<Worker
     }
 }
 
-/// Common tail of the checkpointed entry points: surface any mid-run
-/// save failure, write the final checkpoint (so deadline/cap-truncated
-/// and even *completed* runs are resumable), and fold up the result.
-fn finish_checkpointed<M: Machine>(
-    engine: Engine<'_, M>,
-    results: Vec<WorkerResult>,
-) -> Result<Exploration, CheckpointError> {
-    let started = engine.started;
-    if let Some(c) = &engine.ckpt {
-        if c.failed.load(Ordering::Relaxed) {
-            return Err(lock_clean(&c.error)
-                .take()
-                .unwrap_or(CheckpointError::Malformed("checkpoint write failed")));
-        }
-        let truncation = engine.truncation();
-        let wrote = Instant::now();
-        let snap = Snapshot::Parallel(engine.snapshot(truncation));
-        c.sink.write(&snap)?;
-        c.write_nanos.fetch_add(
-            wrote.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
-        c.written.fetch_add(1, Ordering::Relaxed);
-    }
-    Ok(engine.into_exploration(results, started))
-}
-
-/// [`explore`], with crash tolerance: a checkpoint is autosaved to
-/// `cfg.dir` every `cfg.every` admitted states (plus a final one when
-/// the run stops, for any reason), and [`resume_exploration`] continues
-/// a checkpointed run to the same final answer an uninterrupted run
-/// would have produced.
-pub fn explore_checkpointed<M: Machine>(
-    machine: &M,
-    prog: &Program,
-    limits: Limits,
-    cfg: &CheckpointCfg,
-) -> Result<Exploration, CheckpointError> {
-    explore_checkpointed_inner(machine, prog, limits, cfg, None)
-}
-
-/// [`explore_checkpointed`] with a [`CancelToken`]: a cancelled run
-/// still writes its final checkpoint, so the job it served can be
-/// resumed later exactly like a suspended one.
-pub fn explore_checkpointed_with_cancel<M: Machine>(
-    machine: &M,
-    prog: &Program,
-    limits: Limits,
-    cfg: &CheckpointCfg,
-    cancel: &CancelToken,
-) -> Result<Exploration, CheckpointError> {
-    explore_checkpointed_inner(machine, prog, limits, cfg, Some(cancel))
-}
-
-/// [`explore_checkpointed_with_cancel`] with live monitoring — the
-/// full-service entry point for a daemon running observable,
-/// cancellable, crash-tolerant jobs.
-pub fn explore_checkpointed_with_progress<M: Machine>(
-    machine: &M,
-    prog: &Program,
-    limits: Limits,
-    cfg: &CheckpointCfg,
-    cancel: &CancelToken,
-    progress: &ProgressSink,
-) -> Result<Exploration, CheckpointError> {
-    explore_checkpointed_full(machine, prog, limits, cfg, Some(cancel), Some(progress))
-}
-
-fn explore_checkpointed_inner<M: Machine>(
-    machine: &M,
-    prog: &Program,
-    limits: Limits,
-    cfg: &CheckpointCfg,
-    cancel: Option<&CancelToken>,
-) -> Result<Exploration, CheckpointError> {
-    explore_checkpointed_full(machine, prog, limits, cfg, cancel, None)
-}
-
-fn explore_checkpointed_full<M: Machine>(
-    machine: &M,
-    prog: &Program,
-    limits: Limits,
-    cfg: &CheckpointCfg,
-    cancel: Option<&CancelToken>,
-    progress: Option<&ProgressSink>,
-) -> Result<Exploration, CheckpointError> {
-    let sink = FileSink { cfg, fp: config_fingerprint(machine.name(), prog, &limits) };
-    let workers = limits.resolved_threads();
-    let engine = Engine::new(machine, prog, limits, workers)
-        .with_cancel(cancel)
-        .with_progress(progress)
-        .with_checkpointing(cfg, &sink);
-    engine.seed_root();
-    let results = run_workers(&engine, workers);
-    finish_checkpointed(engine, results)
-}
-
-/// Continues an exploration from the checkpoint in `cfg.dir`.
-///
-/// The checkpoint's configuration fingerprint must match this run's
-/// machine, program, state cap, and reduction mode (thread count,
-/// deadline, and memory budget may differ — they are resources, not
-/// semantics). The final `outcomes`, `states`, and `deadlocks` are
-/// identical to an uninterrupted [`explore`] of the same configuration:
-/// at a checkpoint boundary the frontier is exactly the
-/// admitted-but-unexpanded states, so resuming expands each reachable
-/// state exactly once overall.
-pub fn resume_exploration<M: Machine>(
-    machine: &M,
-    prog: &Program,
-    limits: Limits,
-    cfg: &CheckpointCfg,
-) -> Result<Exploration, CheckpointError> {
-    resume_inner(machine, prog, limits, cfg, None)
-}
-
-/// [`resume_exploration`] with a [`CancelToken`], for resumed jobs that
-/// must remain individually stoppable.
-pub fn resume_with_cancel<M: Machine>(
-    machine: &M,
-    prog: &Program,
-    limits: Limits,
-    cfg: &CheckpointCfg,
-    cancel: &CancelToken,
-) -> Result<Exploration, CheckpointError> {
-    resume_inner(machine, prog, limits, cfg, Some(cancel))
-}
-
-/// [`resume_with_cancel`] with live monitoring, for resumed jobs whose
-/// progress must stay observable across legs (the published counters
-/// are cumulative: a resume restores its checkpoint's totals).
-pub fn resume_with_progress<M: Machine>(
-    machine: &M,
-    prog: &Program,
-    limits: Limits,
-    cfg: &CheckpointCfg,
-    cancel: &CancelToken,
-    progress: &ProgressSink,
-) -> Result<Exploration, CheckpointError> {
-    resume_full(machine, prog, limits, cfg, Some(cancel), Some(progress))
-}
-
-fn resume_inner<M: Machine>(
-    machine: &M,
-    prog: &Program,
-    limits: Limits,
-    cfg: &CheckpointCfg,
-    cancel: Option<&CancelToken>,
-) -> Result<Exploration, CheckpointError> {
-    resume_full(machine, prog, limits, cfg, cancel, None)
-}
-
-fn resume_full<M: Machine>(
-    machine: &M,
-    prog: &Program,
-    limits: Limits,
-    cfg: &CheckpointCfg,
-    cancel: Option<&CancelToken>,
-    progress: Option<&ProgressSink>,
-) -> Result<Exploration, CheckpointError> {
-    let fp = config_fingerprint(machine.name(), prog, &limits);
-    let snap = match checkpoint::load::<M::State>(cfg, fp)? {
-        Snapshot::Parallel(p) => p,
-        other => {
-            return Err(CheckpointError::EngineMismatch { expected: 0, found: other.engine_byte() })
-        }
-    };
-    let sink = FileSink { cfg, fp };
-    let workers = limits.resolved_threads();
-    let mut engine = Engine::new(machine, prog, limits, workers);
-    // Rebuild the visited set (re-encoding each state; shard and id
-    // assignment are recomputed) and restore the durable counters the
-    // checkpoint carried.
-    let mut buf = Vec::new();
-    for states in snap.shards {
-        for s in states {
-            buf.clear();
-            s.encode(&mut buf);
-            engine.visited.insert(hash_bytes(&buf), &buf);
-        }
-    }
-    engine.visited.restore_probe_counters(snap.counters.dedup_hits, snap.counters.dedup_probes);
-    engine.steals.store(snap.counters.steals, Ordering::Relaxed);
-    engine.pruned_arcs.store(snap.counters.pruned_arcs, Ordering::Relaxed);
-    engine.peak_frontier.store(
-        usize::try_from(snap.counters.peak_frontier).unwrap_or(usize::MAX),
-        Ordering::Relaxed,
-    );
-    engine.worker_panics.store(u64::from(snap.counters.worker_panics), Ordering::Relaxed);
-    engine.overshoot_nanos.store(snap.counters.overshoot_nanos, Ordering::Relaxed);
-    engine.base = ResumeBase {
-        outcomes: snap.outcomes,
-        deadlocks: snap.deadlocks,
-        checkpoints: snap.counters.checkpoints,
-        elapsed_nanos: snap.counters.elapsed_nanos,
-        checkpoint_nanos: snap.counters.ckpt_write_nanos,
-    };
-    let engine = engine.with_cancel(cancel).with_progress(progress).with_checkpointing(cfg, &sink);
-    // Round-robin the saved frontier across the workers, mapped back
-    // to ids (every frontier state is in the visited set by the
-    // checkpoint invariant, so `insert` is a pure lookup here). An
-    // empty frontier (the run had finished) just means the workers
-    // drain out immediately and the stored results are returned as-is.
-    for (i, s) in snap.frontier.into_iter().enumerate() {
-        buf.clear();
-        s.encode(&mut buf);
-        let (id, fresh) = engine.visited.insert(hash_bytes(&buf), &buf);
-        debug_assert!(!fresh, "checkpoint frontier states are admitted by construction");
-        engine.pending.fetch_add(1, Ordering::SeqCst);
-        engine.push_id(i % workers, id);
-    }
-    let results = run_workers(&engine, workers);
-    finish_checkpointed(engine, results)
-}
-
 /// Explores the full reachable state space of `machine` running `prog`
 /// with the reference single-threaded depth-first search.
 ///
-/// Kept alongside [`explore`] for differential testing: both engines
-/// must produce identical `outcomes`, `states`, and `deadlocks`.
+/// Kept alongside [`run`] for differential testing — the parallel
+/// engine must produce identical `outcomes`, `states`, and `deadlocks`
+/// — and as the same-run baseline of the explorer benchmarks. Honors
+/// only `max_states` and the ample sets of `reduction` (`Sleep` is
+/// treated as `Ample`).
 pub fn explore_seq<M: Machine>(machine: &M, prog: &Program, limits: Limits) -> Exploration {
     let started = Instant::now();
     let initial = machine.initial(prog);
@@ -1826,7 +1743,7 @@ pub fn explore_seq<M: Machine>(machine: &M, prog: &Program, limits: Limits) -> E
     let mut pruned_arcs = 0u64;
     let reduction = match limits.reduction {
         Reduction::Full => None,
-        Reduction::Ample => FutureTable::new(prog),
+        Reduction::Ample | Reduction::Sleep => FutureTable::new(prog),
     };
     visited.insert(initial.clone());
     stack.push(initial);
@@ -1992,7 +1909,8 @@ mod tests {
         let lit = litmus::iriw();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let ex = explore_with_cancel(&ScMachine, &lit.program, Limits::default(), &cancel);
+        let opts = Opts { cancel: Some(&cancel), ..Opts::default() };
+        let ex = run(&ScMachine, &lit.program, Limits::default(), &opts).expect("no checkpoint");
         assert!(ex.truncated());
         assert_eq!(ex.stats.truncation, Some(TruncationReason::Cancelled));
         // The workers stopped before expanding anything beyond at most
@@ -2011,16 +1929,13 @@ mod tests {
         let cfg = CheckpointCfg { dir: dir.clone(), every: 1, abort_after: None, store: None };
         let cancel = CancelToken::new();
         cancel.cancel();
-        let cut = explore_checkpointed_with_cancel(
-            &ScMachine,
-            &lit.program,
-            Limits::default(),
-            &cfg,
-            &cancel,
-        )
-        .expect("cancelled run still writes its final checkpoint");
+        let opts =
+            Opts { cancel: Some(&cancel), checkpoint: Checkpoint::Fresh(&cfg), ..Opts::default() };
+        let cut = run(&ScMachine, &lit.program, Limits::default(), &opts)
+            .expect("cancelled run still writes its final checkpoint");
         assert_eq!(cut.stats.truncation, Some(TruncationReason::Cancelled));
-        let resumed = resume_exploration(&ScMachine, &lit.program, Limits::default(), &cfg)
+        let opts = Opts { checkpoint: Checkpoint::Resume(&cfg), ..Opts::default() };
+        let resumed = run(&ScMachine, &lit.program, Limits::default(), &opts)
             .expect("cancelled checkpoint resumes");
         let clean = explore(&ScMachine, &lit.program, Limits::default());
         assert_eq!(resumed.outcomes, clean.outcomes);
@@ -2037,8 +1952,11 @@ mod tests {
         let lit = litmus::iriw();
         let plain = explore(&ScMachine, &lit.program, Limits::with_threads(2));
         let sink = ProgressSink::with_interval(Duration::ZERO);
-        let watched =
-            explore_with_progress(&ScMachine, &lit.program, Limits::with_threads(2), None, &sink);
+        let watch = |sink| {
+            let opts = Opts { progress: Some(sink), ..Opts::default() };
+            run(&ScMachine, &lit.program, Limits::with_threads(2), &opts).expect("no checkpoint")
+        };
+        let watched = watch(&sink);
         assert_eq!(watched, plain, "progress must not perturb results");
         let last = sink.sample();
         assert!(last.seq > 0, "the final publication always lands");
@@ -2069,14 +1987,7 @@ mod tests {
                     seen
                 })
             };
-            let ex = explore_with_progress(
-                &ScMachine,
-                &lit.program,
-                Limits::with_threads(2),
-                None,
-                &sink,
-            );
-            (ex.states, monitor.join().expect("monitor thread"))
+            (watch(&sink).states, monitor.join().expect("monitor thread"))
         });
         assert!(!samples.is_empty(), "at least the final publication is visible");
         assert!(samples.last().expect("non-empty").states as usize <= final_states);

@@ -8,8 +8,9 @@
 //!   configurations of Figure 1, Definition 1 weak ordering
 //!   ([`machines::WoDef1Machine`]) and the paper's new Section 5
 //!   implementation ([`machines::WoDef2Machine`]);
-//! * an exhaustive explorer ([`explore`]) collecting each machine's
-//!   reachable outcome set;
+//! * an exhaustive explorer ([`run`], or [`explore`] without options)
+//!   collecting each machine's reachable outcome set, with the
+//!   sequential reference [`explore_seq`] beside it;
 //! * the weak-ordering **contract** checks ([`contract`]): a machine
 //!   appears sequentially consistent to a program iff its outcome set is
 //!   contained in the SC outcome set, and it is weakly ordered w.r.t. a
@@ -38,7 +39,6 @@ pub mod checkpoint;
 pub mod contract;
 mod explore;
 pub mod fxhash;
-mod legacy;
 mod machine;
 pub mod machines;
 mod reduce;
@@ -52,18 +52,14 @@ pub use contract::{
     ContractRow, ScAppearance,
 };
 pub use explore::{
-    explore, explore_checkpointed, explore_checkpointed_with_cancel,
-    explore_checkpointed_with_progress, explore_seq, explore_with_cancel, explore_with_progress,
-    find_witness, resume_exploration, resume_with_cancel, resume_with_progress, CancelToken,
-    Exploration, ExplorationStats, Limits, ProgressSink, ProgressSnapshot, Reduction,
-    TruncationReason, Witness, N_SHARDS,
+    explore, explore_seq, find_witness, run, CancelToken, Checkpoint, Exploration,
+    ExplorationStats, Limits, Opts, ProgressSink, ProgressSnapshot, Reduction, TruncationReason,
+    Witness, N_SHARDS,
 };
-pub use legacy::explore_legacy;
 pub use machine::{
     advance_skipping_delays, advance_skipping_delays_and_fences, outcome_if_halted, DeliveryClass,
     Footprint, InternalKind, InternalStep, Label, Machine, OpRecord, ReductionClass, SyncGate,
 };
-pub use reduce::{explore_reduced, explore_reduced_checkpointed, resume_reduced};
 pub use shrink::{shrink_witness, ShrinkReport};
 pub use trace::{
     check_program_conforms, check_program_drf, ProgramConformance, ProgramDrfVerdict, TraceLimits,

@@ -291,7 +291,7 @@ pub trait Machine: Sync {
     /// states: the lock-free explorer keeps admitted states encoded (a
     /// flat byte block), so every decoded successor it is handed flows
     /// back into the pool and the per-arc allocation chain disappears.
-    /// Engines that retain owned states (the frozen legacy engine, the
+    /// Engines that retain owned states (the sleep-set engine, the
     /// sequential reference) cannot recycle and use plain
     /// [`Machine::successors`]. The default ignores the pool; machines
     /// on the benchmark path override it.

@@ -29,6 +29,67 @@ pub use tso::{TsoMachine, TsoState};
 pub use wo::{BnrMachine, WoDef1Machine, WoDef2Machine, WoState};
 pub use write_buffer::{WbState, WriteBufferMachine};
 
+/// The machine names [`with_machine!`](crate::with_machine) resolves,
+/// in the order the CLI and the serve protocol list them.
+pub const NAMES: &[&str] =
+    &["sc", "write-buffer", "tso", "pso", "net-reorder", "cache-delay", "wo-def1", "wo-def2"];
+
+/// The machine registry: evaluates `$body` with the machine named
+/// `$name` (one of [`NAMES`](crate::machines::NAMES)) bound to `$m`,
+/// or `$unknown` with an unlisted name bound to `$other`.
+///
+/// The explorer is generic over the machine type, so dispatch by name
+/// must monomorphize — one `match` arm per machine, written once here.
+///
+/// ```
+/// use weakord_mc::{explore, with_machine, Limits};
+///
+/// let prog = weakord_progs::litmus::fig1_dekker().program;
+/// let states = with_machine!("tso", |m| explore(&m, &prog, Limits::default()).states,
+///     other => panic!("unknown machine `{other}`"));
+/// assert!(states > 0);
+/// ```
+#[macro_export]
+macro_rules! with_machine {
+    ($name:expr, |$m:ident| $body:expr, $other:ident => $unknown:expr $(,)?) => {
+        match $name {
+            "sc" => {
+                let $m = $crate::machines::ScMachine;
+                $body
+            }
+            "write-buffer" => {
+                let $m = $crate::machines::WriteBufferMachine;
+                $body
+            }
+            "tso" => {
+                let $m = $crate::machines::TsoMachine;
+                $body
+            }
+            "pso" => {
+                let $m = $crate::machines::PsoMachine;
+                $body
+            }
+            "net-reorder" => {
+                let $m = $crate::machines::NetReorderMachine;
+                $body
+            }
+            "cache-delay" => {
+                let $m = $crate::machines::CacheDelayMachine;
+                $body
+            }
+            "wo-def1" => {
+                let $m = $crate::machines::WoDef1Machine;
+                $body
+            }
+            "wo-def2" => {
+                let $m = $crate::machines::WoDef2Machine::default();
+                $body
+            }
+            $other => $unknown,
+        }
+    };
+}
+
 /// The parallel explorer moves states between worker threads and shares
 /// machines across them, so every state type must stay `Send + Sync`
 /// (plain data, no interior mutability). Checked here at compile time

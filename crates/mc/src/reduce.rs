@@ -12,10 +12,12 @@
 //!   alone (a singleton persistent set) preserves every reachable
 //!   deadlock — and therefore every terminal state and outcome, since
 //!   terminal states have no enabled transitions. This prunes *states*.
-//! * **Sleep sets** ([`explore_reduced`]): after exploring sibling `u`
-//!   from state `s`, any path through an independent sibling `t` need
-//!   not re-explore `u` immediately (the `ut`/`tu` diamond commutes).
-//!   This prunes redundant *arcs* between states the search keeps.
+//! * **Sleep sets** ([`run_sleep`], selected by
+//!   [`Reduction::Sleep`](crate::Reduction::Sleep)): after exploring
+//!   sibling `u` from state `s`, any path through an independent
+//!   sibling `t` need not re-explore `u` immediately (the `ut`/`tu`
+//!   diamond commutes). This prunes redundant *arcs* between states
+//!   the search keeps.
 //!
 //! Both rest on one independence relation derived from the machines'
 //! self-description ([`ReductionClass`]): transitions of the same
@@ -48,13 +50,10 @@ use std::time::{Duration, Instant};
 use weakord_core::Loc;
 use weakord_progs::{Instr, Outcome, Program, ThreadState};
 
-use crate::checkpoint::{
-    self, config_fingerprint, CheckpointCfg, CheckpointError, Codec, PersistedCounters,
-    ReducedSnapshot, Snapshot,
-};
+use crate::checkpoint::{CheckpointError, Codec, PersistedCounters, ReducedSnapshot, Snapshot};
 use crate::explore::{
-    explore_checkpointed, explore_seq, resume_exploration, Exploration, ExplorationStats, Limits,
-    Reduction, TruncationReason,
+    CancelToken, CkptSink, Exploration, ExplorationStats, Limits, Opts, ProgressSnapshot,
+    TruncationReason, PROGRESS_CHECK_EVERY,
 };
 use crate::fxhash::FxBuildHasher;
 use crate::machine::{
@@ -370,258 +369,79 @@ fn sleep_dependent(class: ReductionClass, table: &FutureTable, a: Footprint, b: 
     gates(a, b) || gates(b, a)
 }
 
-/// Sequential exploration with the full reduction: singleton persistent
-/// (ample) sets prune states, sleep sets prune residual redundant arcs.
+/// The sleep-set engine behind [`Reduction::Sleep`](crate::Reduction::Sleep):
+/// a sequential DFS in which singleton persistent (ample) sets prune
+/// states and sleep sets prune residual redundant arcs.
 ///
-/// Produces the *identical* outcome set and deadlock count as
-/// [`explore_seq`] / [`crate::explore`] on any program (persistent-set
-/// search preserves all states without enabled transitions, which is
-/// exactly the terminal and deadlocked states), while visiting a subset
-/// of the states. `states` and `stats` therefore differ from the full
-/// engines' — compare semantics, not sizes.
-///
-/// Truncated runs (state cap) are lower bounds, exactly as for the full
-/// engines. The wall-clock `deadline` is not checked here (matching
-/// [`explore_seq`]); use the cap to bound reduced runs.
-pub fn explore_reduced<M: Machine>(machine: &M, prog: &Program, limits: Limits) -> Exploration {
-    let Some(table) = FutureTable::new(prog) else {
-        // More locations than the masks carry: no reduction available.
-        return explore_seq(machine, prog, Limits { reduction: Reduction::Full, ..limits });
-    };
-    let search = ReducedSearch::fresh(machine.initial(prog));
-    run_reduced(machine, prog, limits, &table, search, None)
-        .expect("reduced run without a checkpoint sink cannot fail")
-}
-
-/// [`explore_reduced`], with crash tolerance: checkpoints are autosaved
-/// to `cfg.dir` every `cfg.every` admitted states (plus a final one
-/// when the run stops), and [`resume_reduced`] continues a checkpointed
-/// run to the identical final answer.
-///
-/// Programs too wide for the reduction (no [`FutureTable`]) fall back
-/// to the checkpointed *parallel* engine with the reduction disabled,
-/// exactly mirroring [`explore_reduced`]'s fallback; [`resume_reduced`]
-/// takes the same fallback, so the checkpoint round-trips.
-pub fn explore_reduced_checkpointed<M: Machine>(
-    machine: &M,
-    prog: &Program,
-    limits: Limits,
-    cfg: &CheckpointCfg,
-) -> Result<Exploration, CheckpointError> {
-    let Some(table) = FutureTable::new(prog) else {
-        return explore_checkpointed(
-            machine,
-            prog,
-            Limits { reduction: Reduction::Full, ..limits },
-            cfg,
-        );
-    };
-    let sink = ReducedFileSink { cfg, fp: config_fingerprint(machine.name(), prog, &limits) };
-    let search = ReducedSearch::fresh(machine.initial(prog));
-    run_reduced(
-        machine,
-        prog,
-        limits,
-        &table,
-        search,
-        Some(ReducedCkpt { sink: &sink, every: cfg.every, abort_after: cfg.abort_after }),
-    )
-}
-
-/// Continues a reduced exploration from the checkpoint in `cfg.dir`.
-///
-/// The reduced search is a deterministic DFS, so restoring the exact
-/// visited map (with each state's sleep set) and the exact stack
-/// continues the run as if it was never interrupted: the final
-/// `outcomes`, `states`, and `deadlocks` equal an uninterrupted
-/// [`explore_reduced`] of the same configuration.
-pub fn resume_reduced<M: Machine>(
-    machine: &M,
-    prog: &Program,
-    limits: Limits,
-    cfg: &CheckpointCfg,
-) -> Result<Exploration, CheckpointError> {
-    let Some(table) = FutureTable::new(prog) else {
-        return resume_exploration(
-            machine,
-            prog,
-            Limits { reduction: Reduction::Full, ..limits },
-            cfg,
-        );
-    };
-    let fp = config_fingerprint(machine.name(), prog, &limits);
-    let snap = match checkpoint::load::<M::State>(cfg, fp)? {
-        Snapshot::Reduced(r) => r,
-        other => {
-            return Err(CheckpointError::EngineMismatch { expected: 1, found: other.engine_byte() })
-        }
-    };
-    let sink = ReducedFileSink { cfg, fp };
-    let search = ReducedSearch::from_snapshot(snap);
-    run_reduced(
-        machine,
-        prog,
-        limits,
-        &table,
-        search,
-        Some(ReducedCkpt { sink: &sink, every: cfg.every, abort_after: cfg.abort_after }),
-    )
-}
-
-/// Serializes reduced-engine snapshots. A `dyn` trait for the same
-/// reason as the parallel engine's sink: the core runner stays free of
-/// `Codec` bounds, which live only on the checkpointed entry points.
-trait ReducedSink<S> {
-    fn write(&self, snap: &Snapshot<S>) -> Result<(), CheckpointError>;
-}
-
-struct ReducedFileSink<'a> {
-    cfg: &'a CheckpointCfg,
-    fp: u64,
-}
-
-impl<S: Codec> ReducedSink<S> for ReducedFileSink<'_> {
-    fn write(&self, snap: &Snapshot<S>) -> Result<(), CheckpointError> {
-        checkpoint::save(self.cfg, self.fp, snap)
-    }
-}
-
-/// Checkpointing hooks for one reduced run.
-struct ReducedCkpt<'a, S> {
-    sink: &'a dyn ReducedSink<S>,
-    /// Autosave period in admitted states (`0`: final save only).
-    every: usize,
-    /// Crash-injection hook: suspend after this many periodic saves.
-    abort_after: Option<u32>,
-}
-
-/// The resumable portion of the reduced search: everything the DFS
-/// needs to continue, plus the durable counters a checkpoint carries.
-struct ReducedSearch<S> {
-    /// State → the sleep set it was last expanded with (Godefroid's
-    /// state-matching rule; see the loop body).
-    visited: HashMap<S, Vec<Label>, FxBuildHasher>,
-    /// DFS stack of (state, sleep set), bottom first.
-    stack: Vec<(S, Vec<Label>)>,
-    outcomes: BTreeSet<Outcome>,
-    deadlocks: usize,
-    dedup_hits: u64,
-    dedup_probes: u64,
-    pruned_arcs: u64,
-    peak_frontier: usize,
-    /// Wall-clock nanos accumulated by previous legs of this run.
-    base_elapsed_nanos: u64,
-    /// Checkpoints written across all legs.
-    checkpoints: u32,
-    /// Nanos spent writing checkpoints, across all legs.
-    ckpt_write_nanos: u64,
-}
-
-impl<S: std::hash::Hash + Eq + Clone> ReducedSearch<S> {
-    fn fresh(initial: S) -> Self {
-        ReducedSearch {
-            visited: HashMap::default(),
-            stack: vec![(initial, Vec::new())],
-            outcomes: BTreeSet::new(),
-            deadlocks: 0,
-            dedup_hits: 0,
-            dedup_probes: 0,
-            pruned_arcs: 0,
-            peak_frontier: 0,
-            base_elapsed_nanos: 0,
-            checkpoints: 0,
-            ckpt_write_nanos: 0,
-        }
-    }
-
-    fn from_snapshot(snap: ReducedSnapshot<S>) -> Self {
-        ReducedSearch {
-            visited: snap.visited.into_iter().collect(),
-            stack: snap.stack,
-            outcomes: snap.outcomes,
-            deadlocks: usize::try_from(snap.deadlocks).unwrap_or(usize::MAX),
-            dedup_hits: snap.counters.dedup_hits,
-            dedup_probes: snap.counters.dedup_probes,
-            pruned_arcs: snap.counters.pruned_arcs,
-            peak_frontier: usize::try_from(snap.counters.peak_frontier).unwrap_or(usize::MAX),
-            base_elapsed_nanos: snap.counters.elapsed_nanos,
-            checkpoints: snap.counters.checkpoints,
-            ckpt_write_nanos: snap.counters.ckpt_write_nanos,
-        }
-    }
-
-    fn counters(&self, started: Instant) -> PersistedCounters {
-        PersistedCounters {
-            distinct: self.visited.len() as u64,
-            dedup_hits: self.dedup_hits,
-            dedup_probes: self.dedup_probes,
-            pruned_arcs: self.pruned_arcs,
-            steals: 0,
-            peak_frontier: self.peak_frontier as u64,
-            elapsed_nanos: self.base_elapsed_nanos
-                + started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-            checkpoints: self.checkpoints,
-            ckpt_write_nanos: self.ckpt_write_nanos,
-            worker_panics: 0,
-            overshoot_nanos: 0,
-        }
-    }
-}
-
-/// Writes one checkpoint of the (quiescent-between-pops) search.
-fn save_reduced<S: std::hash::Hash + Eq + Clone>(
-    c: &ReducedCkpt<'_, S>,
-    st: &mut ReducedSearch<S>,
-    truncation: Option<TruncationReason>,
-    started: Instant,
-) -> Result<(), CheckpointError> {
-    let wrote = Instant::now();
-    let snap = Snapshot::Reduced(ReducedSnapshot {
-        outcomes: st.outcomes.clone(),
-        deadlocks: st.deadlocks as u64,
-        counters: st.counters(started),
-        truncation,
-        visited: st.visited.iter().map(|(s, sl)| (s.clone(), sl.clone())).collect(),
-        stack: st.stack.clone(),
-    });
-    c.sink.write(&snap)?;
-    st.ckpt_write_nanos += wrote.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    st.checkpoints += 1;
-    Ok(())
-}
-
-/// The sleep-set DFS proper, continuing from `st` (fresh or restored).
+/// Produces the *identical* outcome set and deadlock count as the full
+/// engines on any program (persistent-set search preserves all states
+/// without enabled transitions, which is exactly the terminal and
+/// deadlocked states), while visiting a subset of the states. `states`
+/// and `stats` therefore differ from the full engines' — compare
+/// semantics, not sizes. Truncated runs are lower bounds, exactly as
+/// for the full engines.
 ///
 /// Between stack pops the search holds no in-flight state, so every
-/// loop-top is a valid checkpoint boundary; the search being a
-/// deterministic function of (visited, stack) is what makes
-/// kill-at-a-checkpoint + resume equivalent to an uninterrupted run.
-fn run_reduced<M: Machine>(
+/// loop top is a safepoint: the periodic checkpoint, the deadline, the
+/// cancel token and the progress sample are all taken there. The
+/// search being a deterministic function of (visited, stack) is what
+/// makes kill-at-a-checkpoint + resume equivalent to an uninterrupted
+/// run: the snapshot restores the exact visited map (with each state's
+/// sleep set) and the exact stack.
+pub(crate) fn run_sleep<M: Machine>(
     machine: &M,
     prog: &Program,
     limits: Limits,
     table: &FutureTable,
-    mut st: ReducedSearch<M::State>,
-    ckpt: Option<ReducedCkpt<'_, M::State>>,
+    opts: &Opts<'_>,
 ) -> Result<Exploration, CheckpointError> {
     let started = Instant::now();
+    let (sink, snap) = CkptSink::open(opts.checkpoint, machine.name(), prog, &limits)?;
+    let mut st = match snap {
+        None => ReducedSearch::fresh(machine.initial(prog)),
+        Some(Snapshot::Reduced(r)) => ReducedSearch::from_snapshot(r),
+        Some(other) => {
+            return Err(CheckpointError::EngineMismatch { expected: 1, found: other.engine_byte() })
+        }
+    };
     let class = machine.reduction_class();
+    let deadline_at = limits.deadline.map(|d| started + d);
     let mut truncation = None;
-    let mut next_at = match &ckpt {
-        Some(c) if c.every != 0 => st.visited.len() + c.every,
+    let mut next_at = match &sink {
+        Some(c) if c.cfg.every != 0 => st.visited.len() + c.cfg.every,
         _ => usize::MAX,
     };
     let mut written_this_leg = 0u32;
+    let mut until_progress_check = PROGRESS_CHECK_EVERY;
     let mut succ: Vec<(Label, M::State)> = Vec::new();
     'search: loop {
-        if st.visited.len() >= next_at {
-            let c = ckpt.as_ref().expect("next_at is finite only with a sink");
-            save_reduced(c, &mut st, None, started)?;
+        if let Some(c) = sink.filter(|_| st.visited.len() >= next_at) {
+            st.save(&c, None, started)?;
             written_this_leg += 1;
-            next_at = st.visited.len() + c.every;
-            if c.abort_after.is_some_and(|k| written_this_leg >= k) {
+            next_at = st.visited.len() + c.cfg.every;
+            if c.cfg.abort_after.is_some_and(|k| written_this_leg >= k) {
                 truncation = Some(TruncationReason::Resumable);
                 break 'search;
+            }
+        }
+        if opts.cancel.is_some_and(CancelToken::is_cancelled) {
+            truncation = Some(TruncationReason::Cancelled);
+            break 'search;
+        }
+        if let Some(deadline) = deadline_at {
+            let now = Instant::now();
+            if now >= deadline {
+                let over = now.saturating_duration_since(deadline).as_nanos();
+                st.overshoot_nanos = st.overshoot_nanos.max(over.min(u128::from(u64::MAX)) as u64);
+                truncation = Some(TruncationReason::Deadline);
+                break 'search;
+            }
+        }
+        if let Some(p) = opts.progress {
+            until_progress_check -= 1;
+            if until_progress_check == 0 {
+                until_progress_check = PROGRESS_CHECK_EVERY;
+                p.tick(|| st.progress_sample(started));
             }
         }
         let Some((state, mut sleep)) = st.stack.pop() else { break };
@@ -698,10 +518,14 @@ fn run_reduced<M: Machine>(
             }
         }
     }
-    if let Some(c) = &ckpt {
-        // Final save: deadline/cap-truncated, suspended, and even
-        // completed runs all leave a resumable (or verifiable) image.
-        save_reduced(c, &mut st, truncation, started)?;
+    if let Some(c) = &sink {
+        // Final save: deadline/cap-truncated, cancelled, suspended, and
+        // even completed runs all leave a resumable (or verifiable)
+        // image.
+        st.save(c, truncation, started)?;
+    }
+    if let Some(p) = opts.progress {
+        p.publish(&st.progress_sample(started));
     }
     let stats = ExplorationStats {
         distinct_states: st.visited.len(),
@@ -714,7 +538,7 @@ fn run_reduced<M: Machine>(
         pruned_arcs: st.pruned_arcs,
         truncation,
         worker_panics: 0,
-        deadline_overshoot: Duration::ZERO,
+        deadline_overshoot: Duration::from_nanos(st.overshoot_nanos),
         checkpoints: st.checkpoints,
         checkpoint_time: Duration::from_nanos(st.ckpt_write_nanos),
         probe_steps: 0,
@@ -733,10 +557,126 @@ fn run_reduced<M: Machine>(
     })
 }
 
+/// The resumable portion of the reduced search: everything the DFS
+/// needs to continue, plus the durable counters a checkpoint carries.
+struct ReducedSearch<S> {
+    /// State → the sleep set it was last expanded with (Godefroid's
+    /// state-matching rule; see the loop body).
+    visited: HashMap<S, Vec<Label>, FxBuildHasher>,
+    /// DFS stack of (state, sleep set), bottom first.
+    stack: Vec<(S, Vec<Label>)>,
+    outcomes: BTreeSet<Outcome>,
+    deadlocks: usize,
+    dedup_hits: u64,
+    dedup_probes: u64,
+    pruned_arcs: u64,
+    peak_frontier: usize,
+    /// Worst observed deadline overshoot, across all legs.
+    overshoot_nanos: u64,
+    /// Wall-clock nanos accumulated by previous legs of this run.
+    base_elapsed_nanos: u64,
+    /// Checkpoints written across all legs.
+    checkpoints: u32,
+    /// Nanos spent writing checkpoints, across all legs.
+    ckpt_write_nanos: u64,
+}
+
+impl<S: Codec + std::hash::Hash + Eq + Clone> ReducedSearch<S> {
+    fn fresh(initial: S) -> Self {
+        ReducedSearch {
+            visited: HashMap::default(),
+            stack: vec![(initial, Vec::new())],
+            outcomes: BTreeSet::new(),
+            deadlocks: 0,
+            dedup_hits: 0,
+            dedup_probes: 0,
+            pruned_arcs: 0,
+            peak_frontier: 0,
+            overshoot_nanos: 0,
+            base_elapsed_nanos: 0,
+            checkpoints: 0,
+            ckpt_write_nanos: 0,
+        }
+    }
+
+    fn from_snapshot(snap: ReducedSnapshot<S>) -> Self {
+        ReducedSearch {
+            visited: snap.visited.into_iter().collect(),
+            stack: snap.stack,
+            outcomes: snap.outcomes,
+            deadlocks: usize::try_from(snap.deadlocks).unwrap_or(usize::MAX),
+            dedup_hits: snap.counters.dedup_hits,
+            dedup_probes: snap.counters.dedup_probes,
+            pruned_arcs: snap.counters.pruned_arcs,
+            peak_frontier: usize::try_from(snap.counters.peak_frontier).unwrap_or(usize::MAX),
+            overshoot_nanos: snap.counters.overshoot_nanos,
+            base_elapsed_nanos: snap.counters.elapsed_nanos,
+            checkpoints: snap.counters.checkpoints,
+            ckpt_write_nanos: snap.counters.ckpt_write_nanos,
+        }
+    }
+
+    fn elapsed_nanos(&self, started: Instant) -> u64 {
+        self.base_elapsed_nanos + started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+    }
+
+    fn counters(&self, started: Instant) -> PersistedCounters {
+        PersistedCounters {
+            distinct: self.visited.len() as u64,
+            dedup_hits: self.dedup_hits,
+            dedup_probes: self.dedup_probes,
+            pruned_arcs: self.pruned_arcs,
+            steals: 0,
+            peak_frontier: self.peak_frontier as u64,
+            elapsed_nanos: self.elapsed_nanos(started),
+            checkpoints: self.checkpoints,
+            ckpt_write_nanos: self.ckpt_write_nanos,
+            worker_panics: 0,
+            overshoot_nanos: self.overshoot_nanos,
+        }
+    }
+
+    /// The search's counters as a progress sample; the stack depth is
+    /// the `frontier` gauge.
+    fn progress_sample(&self, started: Instant) -> ProgressSnapshot {
+        ProgressSnapshot {
+            states: self.visited.len() as u64,
+            frontier: self.stack.len() as u64,
+            dedup_hits: self.dedup_hits,
+            dedup_probes: self.dedup_probes,
+            pruned_arcs: self.pruned_arcs,
+            elapsed: Duration::from_nanos(self.elapsed_nanos(started)),
+            ..ProgressSnapshot::default()
+        }
+    }
+
+    /// Writes one checkpoint of the (quiescent-between-pops) search.
+    fn save(
+        &mut self,
+        sink: &CkptSink<'_>,
+        truncation: Option<TruncationReason>,
+        started: Instant,
+    ) -> Result<(), CheckpointError> {
+        let wrote = Instant::now();
+        sink.write(&Snapshot::Reduced(ReducedSnapshot {
+            outcomes: self.outcomes.clone(),
+            deadlocks: self.deadlocks as u64,
+            counters: self.counters(started),
+            truncation,
+            visited: self.visited.iter().map(|(s, sl)| (s.clone(), sl.clone())).collect(),
+            stack: self.stack.clone(),
+        }))?;
+        self.ckpt_write_nanos += wrote.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        self.checkpoints += 1;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::explore;
+    use crate::checkpoint::CheckpointCfg;
+    use crate::explore::{explore, explore_seq, run, Checkpoint, ProgressSink, Reduction};
     use crate::machines::{
         BnrMachine, CacheDelayMachine, NetReorderMachine, ScMachine, WoDef1Machine, WoDef2Machine,
         WriteBufferMachine,
@@ -789,7 +729,7 @@ mod tests {
     fn reduced_matches_full_on_the_litmus_suite() {
         fn check<M: Machine>(machine: &M, prog: &Program) {
             let full = explore_seq(machine, prog, Limits::default());
-            let red = explore_reduced(machine, prog, Limits::default());
+            let red = explore(machine, prog, Limits::with_reduction(Reduction::Sleep));
             assert!(!full.truncated() && !red.truncated());
             assert_eq!(red.outcomes, full.outcomes, "{} × {}", machine.name(), prog.name);
             assert_eq!(red.deadlocks, full.deadlocks, "{} × {}", machine.name(), prog.name);
@@ -824,7 +764,7 @@ mod tests {
         for reduced in [
             explore_seq(&machine, &lit.program, Limits::reduced()),
             explore(&machine, &lit.program, Limits { threads: 4, ..Limits::reduced() }),
-            explore_reduced(&machine, &lit.program, Limits::default()),
+            explore(&machine, &lit.program, Limits::with_reduction(Reduction::Sleep)),
         ] {
             assert_eq!(reduced.outcomes, full.outcomes);
             assert_eq!(reduced.deadlocks, full.deadlocks);
@@ -847,5 +787,83 @@ mod tests {
             assert_eq!(par, seq, "ample parallel diverged at {threads} threads");
             assert_eq!(par.stats.pruned_arcs, seq.stats.pruned_arcs);
         }
+    }
+
+    /// The sleep-set engine honors every run option: a cancelled or
+    /// zero-deadline run truncates with the matching reason and its
+    /// final checkpoint resumes to the uninterrupted answer, and an
+    /// attached progress sink receives samples without perturbing the
+    /// result.
+    #[test]
+    fn sleep_engine_honors_cancel_deadline_and_progress() {
+        let lit = litmus::iriw();
+        let machine = WoDef2Machine::default();
+        let limits = Limits::with_reduction(Reduction::Sleep);
+        let oracle = explore(&machine, &lit.program, limits);
+        assert!(!oracle.truncated());
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let zero = Limits { deadline: Some(Duration::ZERO), ..limits };
+        for (tag, cut_limits, cancel, reason) in [
+            ("cancel", limits, Some(&cancel), TruncationReason::Cancelled),
+            ("deadline", zero, None, TruncationReason::Deadline),
+        ] {
+            let dir =
+                std::env::temp_dir().join(format!("weakord-sleep-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cfg = CheckpointCfg::every(&dir, 100);
+            let opts = Opts { cancel, checkpoint: Checkpoint::Fresh(&cfg), ..Opts::default() };
+            let cut = run(&machine, &lit.program, cut_limits, &opts).expect("final checkpoint");
+            assert_eq!(cut.truncation, Some(reason), "{tag}");
+            let opts = Opts { checkpoint: Checkpoint::Resume(&cfg), ..Opts::default() };
+            let resumed = run(&machine, &lit.program, limits, &opts).expect("resumes");
+            assert_eq!(resumed, oracle, "{tag}: resumed run differs from the oracle");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let sink = ProgressSink::with_interval(Duration::ZERO);
+        let opts = Opts { progress: Some(&sink), ..Opts::default() };
+        let watched = run(&machine, &lit.program, limits, &opts).expect("no checkpoint");
+        assert_eq!(watched, oracle, "progress must not perturb results");
+        let last = sink.sample();
+        assert!(last.seq > 0, "the sink was published to");
+        assert_eq!(last.states as usize, oracle.states);
+        assert_eq!(last.frontier, 0, "a finished search has an empty stack");
+    }
+
+    /// A program too wide for the footprint masks runs `Sleep` as
+    /// `Full`, and the switch happens before the fingerprint is taken on
+    /// both the save and the resume side, so a suspended run resumes.
+    #[test]
+    fn wide_programs_run_sleep_as_full_and_resume() {
+        use weakord_progs::Reg;
+        let (near, far) = (Loc::new(0), Loc::new(128));
+        let mut t = ThreadBuilder::new();
+        t.write(near, 1u64);
+        t.write(far, 1u64);
+        t.halt();
+        let mut u = ThreadBuilder::new();
+        u.read(Reg::new(0), far);
+        u.read(Reg::new(1), near);
+        u.halt();
+        let prog = Program::new("wide", vec![t.finish(), u.finish()], 129).unwrap();
+        assert!(FutureTable::new(&prog).is_none(), "129 locations exceed the masks");
+        let full = explore(&WriteBufferMachine, &prog, Limits::default());
+        let sleep = Limits::with_reduction(Reduction::Sleep);
+        assert_eq!(explore(&WriteBufferMachine, &prog, sleep), full);
+        let dir = std::env::temp_dir().join(format!("weakord-wide-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = CheckpointCfg::every(&dir, 2);
+        cfg.abort_after = Some(1);
+        let leg = |checkpoint| {
+            let opts = Opts { checkpoint, ..Opts::default() };
+            run(&WriteBufferMachine, &prog, sleep, &opts).expect("checkpoint round-trips")
+        };
+        let mut ex = leg(Checkpoint::Fresh(&cfg));
+        assert_eq!(ex.truncation, Some(TruncationReason::Resumable));
+        while ex.truncation == Some(TruncationReason::Resumable) {
+            ex = leg(Checkpoint::Resume(&cfg));
+        }
+        assert_eq!(ex, full);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,11 +7,11 @@
 //! thing allowed to differ, and the full-state visited set makes visit
 //! order unobservable.
 //!
-//! The partial-order-reduced searches ([`explore_reduced`] and the
-//! [`Reduction::Ample`] knob) join the same differential: they must
-//! produce the identical outcome set and deadlock count as the full
-//! sequential reference on every machine × program pair, while never
-//! visiting more states.
+//! The partial-order-reduced searches ([`Reduction::Sleep`], the
+//! sleep-set engine, and the [`Reduction::Ample`] knob) join the same
+//! differential: they must produce the identical outcome set and
+//! deadlock count as the full sequential reference on every machine ×
+//! program pair, while never visiting more states.
 //!
 //! Also pins down the truncation contract (`truncated` flips exactly
 //! when the state space exceeds `max_states`) and run-to-run
@@ -19,15 +19,16 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
+use weakord_core::Loc;
 use weakord_mc::machines::{
     BnrMachine, CacheDelayMachine, NetReorderMachine, ScMachine, WoDef1Machine, WoDef2Machine,
     WriteBufferMachine,
 };
-use weakord_mc::{
-    explore, explore_reduced, explore_seq, Exploration, Limits, Machine, TruncationReason,
-};
-use weakord_progs::{gen, litmus, parse_program, Program};
+use weakord_mc::{explore, explore_seq, Exploration, Limits, Machine, Reduction, TruncationReason};
+use weakord_progs::{gen, litmus, parse_program, Program, Reg, Thread, ThreadBuilder};
 
 /// Worker counts every differential pair is exercised at.
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -103,7 +104,7 @@ fn assert_reduction_agrees<M: Machine>(machine: &M, prog: &Program) {
     // The dedicated sleep-set engine, and the ample filter inside each
     // of the two general engines: all three reduced searches must agree
     // with the full search on everything observable, in no more states.
-    let red = explore_reduced(machine, prog, Limits::default());
+    let red = explore(machine, prog, Limits::with_reduction(Reduction::Sleep));
     let seq_ample = explore_seq(machine, prog, Limits::reduced());
     let par_ample = explore(machine, prog, Limits { threads: 4, ..Limits::reduced() });
     for (engine, ex) in [("reduced", &red), ("seq+ample", &seq_ample), ("par+ample", &par_ample)] {
@@ -165,7 +166,7 @@ fn reduction_ratio_floor_on_the_spinlock_kernel() {
         think: 0,
     });
     let full = explore_seq(&BnrMachine, &prog, Limits::default());
-    let red = explore_reduced(&BnrMachine, &prog, Limits::default());
+    let red = explore(&BnrMachine, &prog, Limits::with_reduction(Reduction::Sleep));
     assert_eq!(red.outcomes, full.outcomes);
     assert_eq!(red.deadlocks, full.deadlocks);
     assert!(
@@ -179,6 +180,112 @@ fn reduction_ratio_floor_on_the_spinlock_kernel() {
         "reduction ratio regressed below the committed floor: {:.2}",
         red.stats.reduction_ratio()
     );
+}
+
+/// A write-buffer thread from op codes: 0 = read L, 1 = read M,
+/// 2 = write L=1, 3 = write M=1, 4 = write Z=1 (locations 0, 1, 2).
+fn concealment_thread(ops: &[u8]) -> Thread {
+    let mut t = ThreadBuilder::new();
+    for (k, &op) in ops.iter().enumerate() {
+        let r = Reg::new(k as u8);
+        match op {
+            0 => {
+                t.read(r, Loc::new(0));
+            }
+            1 => {
+                t.read(r, Loc::new(1));
+            }
+            2 => {
+                t.write(Loc::new(0), 1u64);
+            }
+            3 => {
+                t.write(Loc::new(1), 1u64);
+            }
+            _ => {
+                t.write(Loc::new(2), 1u64);
+            }
+        }
+    }
+    t.halt();
+    t.finish()
+}
+
+/// Ample-set soundness against *concealed* buffer entries: a write
+/// buffer whose visible head is one location can hide a write to the
+/// location a Rule 3 candidate touches. Checks one hand-built instance
+/// on both reductions, then every 3-thread straight-line program of
+/// the concealment shape on the sleep-set engine: the middle thread
+/// writes at least two locations, so one entry can sit behind another.
+/// The 56,700 programs are split across scoped threads.
+#[test]
+fn reduction_keeps_outcomes_behind_concealed_buffer_entries() {
+    let (l, m, z, r0) = (Loc::new(0), Loc::new(1), Loc::new(2), Reg::new(0));
+    // P0: read L.  P1: write M=1; write L=1; read Z.  P2: read M.
+    let mut t0 = ThreadBuilder::new();
+    t0.read(r0, l);
+    t0.halt();
+    let mut t1 = ThreadBuilder::new();
+    t1.write(m, 1u64);
+    t1.write(l, 1u64);
+    t1.read(r0, z);
+    t1.halt();
+    let mut t2 = ThreadBuilder::new();
+    t2.read(r0, m);
+    t2.halt();
+    let prog = Program::new("concealed", vec![t0.finish(), t1.finish(), t2.finish()], 3).unwrap();
+    let full = explore_seq(&WriteBufferMachine, &prog, Limits::default());
+    let sleep = explore(&WriteBufferMachine, &prog, Limits::with_reduction(Reduction::Sleep));
+    let ample = explore_seq(&WriteBufferMachine, &prog, Limits::reduced());
+    assert_eq!(sleep.outcomes, full.outcomes, "sleep-set engine lost outcomes");
+    assert_eq!(ample.outcomes, full.outcomes, "ample knob lost outcomes");
+    assert_eq!(sleep.deadlocks, full.deadlocks);
+
+    // The outer threads: every 1- and 2-op sequence.
+    let outer: Vec<Vec<u8>> =
+        (0..5).map(|a| vec![a]).chain((0..25).map(|ab| vec![ab / 5, ab % 5])).collect();
+    // The middle thread: every 3-op sequence writing at least two
+    // distinct locations, plus three 4-op deep-buffer shapes.
+    let mut middle: Vec<Vec<u8>> = (0..125u8)
+        .map(|abc| vec![abc / 25, abc / 5 % 5, abc % 5])
+        .filter(|ops| (2..=4).filter(|w| ops.contains(w)).count() >= 2)
+        .collect();
+    middle.extend([vec![3, 3, 2, 0], vec![3, 4, 2, 1], vec![4, 3, 2, 2]]);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let checked = AtomicUsize::new(0);
+    let lost = Mutex::new(Vec::new());
+    std::thread::scope(|s| {
+        for w in 0..workers {
+            let (outer, middle, checked, lost) = (&outer, &middle, &checked, &lost);
+            s.spawn(move || {
+                for t1 in middle.iter().skip(w).step_by(workers) {
+                    for t0 in outer {
+                        for t2 in outer {
+                            let threads = vec![
+                                concealment_thread(t0),
+                                concealment_thread(t1),
+                                concealment_thread(t2),
+                            ];
+                            let prog = Program::new("enum", threads, 3).unwrap();
+                            let full = explore_seq(&WriteBufferMachine, &prog, Limits::default());
+                            let red = explore(
+                                &WriteBufferMachine,
+                                &prog,
+                                Limits::with_reduction(Reduction::Sleep),
+                            );
+                            checked.fetch_add(1, Ordering::Relaxed);
+                            if red.outcomes != full.outcomes || red.deadlocks != full.deadlocks {
+                                let mut lost = lost.lock().unwrap();
+                                lost.push(format!("t0={t0:?} t1={t1:?} t2={t2:?}"));
+                            }
+                        }
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(checked.into_inner(), 56_700, "the enumeration changed size");
+    let lost = lost.into_inner().unwrap();
+    assert!(lost.is_empty(), "{} programs lost outcomes under reduction: {lost:?}", lost.len());
 }
 
 #[test]

@@ -17,7 +17,7 @@ use weakord_mc::machines::{
     WriteBufferMachine,
 };
 use weakord_mc::visited::{Admit, VisitedSet};
-use weakord_mc::{check_program_drf, explore, explore_reduced, explore_seq, Limits, TraceLimits};
+use weakord_mc::{check_program_drf, explore, explore_seq, Limits, Reduction, TraceLimits};
 use weakord_progs::gen::{race_free, racy, GenParams};
 
 fn small() -> GenParams {
@@ -93,7 +93,7 @@ proptest! {
         macro_rules! agree {
             ($m:expr) => {{
                 let full = explore_seq(&$m, &prog, Limits::default());
-                let red = explore_reduced(&$m, &prog, Limits::default());
+                let red = explore(&$m, &prog, Limits::with_reduction(Reduction::Sleep));
                 prop_assert_eq!(&red.outcomes, &full.outcomes, "{} on {}",
                     weakord_mc::Machine::name(&$m), prog.name);
                 prop_assert_eq!(red.deadlocks, full.deadlocks);
@@ -117,7 +117,7 @@ proptest! {
         macro_rules! shrinks {
             ($m:expr) => {{
                 let full = explore_seq(&$m, &prog, Limits::default());
-                let red = explore_reduced(&$m, &prog, Limits::default());
+                let red = explore(&$m, &prog, Limits::with_reduction(Reduction::Sleep));
                 red.states < full.states
             }};
         }

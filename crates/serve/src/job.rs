@@ -18,59 +18,12 @@ use std::sync::Arc;
 use crate::protocol::JobSpec;
 use crate::store::{cleanup_file, Vfs, VfsCkptStore};
 use weakord_mc::checkpoint::config_fingerprint;
-use weakord_mc::machines::{
-    CacheDelayMachine, NetReorderMachine, PsoMachine, ScMachine, TsoMachine, WoDef1Machine,
-    WoDef2Machine, WriteBufferMachine,
-};
 use weakord_mc::{
-    explore_checkpointed_with_progress, resume_with_progress, CancelToken, CheckpointCfg,
-    CheckpointError, Exploration, ProgressSink, TruncationReason,
+    run, with_machine, CancelToken, Checkpoint, CheckpointCfg, CheckpointError, Exploration, Opts,
+    ProgressSink, TruncationReason,
 };
 use weakord_obs::json::escape;
 use weakord_progs::{parse_program, Program};
-
-/// Runs `body` with the machine value named by `$name` in scope as
-/// `$m`. The explorer is generic over the machine type, so dispatch
-/// must monomorphize — a match per call site, folded into one macro.
-macro_rules! with_machine {
-    ($name:expr, |$m:ident| $body:expr) => {
-        match $name {
-            "sc" => {
-                let $m = ScMachine;
-                $body
-            }
-            "write-buffer" => {
-                let $m = WriteBufferMachine;
-                $body
-            }
-            "tso" => {
-                let $m = TsoMachine;
-                $body
-            }
-            "pso" => {
-                let $m = PsoMachine;
-                $body
-            }
-            "net-reorder" => {
-                let $m = NetReorderMachine;
-                $body
-            }
-            "cache-delay" => {
-                let $m = CacheDelayMachine;
-                $body
-            }
-            "wo-def1" => {
-                let $m = WoDef1Machine;
-                $body
-            }
-            "wo-def2" => {
-                let $m = WoDef2Machine::default();
-                $body
-            }
-            other => unreachable!("machine `{other}` was validated at admission"),
-        }
-    };
-}
 
 /// Parses the canonical program text and derives the job id.
 ///
@@ -107,9 +60,10 @@ pub fn run_attempt(
         abort_after: None,
         store: Some(Arc::new(VfsCkptStore::new(vfs.clone()))),
     };
+    let opts = |checkpoint| Opts { cancel: Some(cancel), progress: Some(progress), checkpoint };
     with_machine!(spec.machine.as_str(), |m| {
         if vfs.exists(&cfg.file()) {
-            match resume_with_progress(&m, prog, limits, &cfg, cancel, progress) {
+            match run(&m, prog, limits, &opts(Checkpoint::Resume(&cfg))) {
                 Ok(ex) => return Ok(ex),
                 // A config/engine mismatch cannot be recomputed away —
                 // the id *is* the fingerprint, so this is a real bug or
@@ -124,8 +78,8 @@ pub fn run_attempt(
                 }
             }
         }
-        explore_checkpointed_with_progress(&m, prog, limits, &cfg, cancel, progress)
-    })
+        run(&m, prog, limits, &opts(Checkpoint::Fresh(&cfg)))
+    }, other => unreachable!("machine `{other}` was validated at admission"))
 }
 
 /// Short stable token for a truncation reason, as written into result

@@ -41,10 +41,9 @@ use weakord_progs::{litmus, parse_program, unparse_program};
 /// cannot make the server buffer unboundedly.
 pub const MAX_LINE: usize = 1 << 20;
 
-/// The machine names `submit` accepts (same vocabulary as
-/// `weakord explore --machine`).
-pub const MACHINES: &[&str] =
-    &["sc", "write-buffer", "tso", "pso", "net-reorder", "cache-delay", "wo-def1", "wo-def2"];
+/// The machine names `submit` accepts: the explorer's machine registry
+/// (same vocabulary, same order as `weakord explore --machine`).
+pub use weakord_mc::machines::NAMES as MACHINES;
 
 /// One parsed request line.
 #[derive(Debug, Clone, PartialEq)]

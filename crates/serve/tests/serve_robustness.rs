@@ -18,8 +18,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use weakord_mc::machines::{PsoMachine, ScMachine, TsoMachine};
-use weakord_mc::{explore_checkpointed, CheckpointCfg, TruncationReason};
+use weakord_mc::{run, with_machine, Checkpoint, CheckpointCfg, Opts, TruncationReason};
 use weakord_obs::json::{self, Json};
 use weakord_progs::{litmus, unparse_program, Program};
 use weakord_serve::{job_identity, Client, JobSpec, ServeConfig, Server, SubmitKind};
@@ -68,13 +67,9 @@ fn interrupted_run(
     prog: &Program,
     cfg: &CheckpointCfg,
 ) -> Option<TruncationReason> {
-    let limits = spec.limits(1);
-    let ex = match spec.machine.as_str() {
-        "sc" => explore_checkpointed(&ScMachine, prog, limits, cfg),
-        "tso" => explore_checkpointed(&TsoMachine, prog, limits, cfg),
-        "pso" => explore_checkpointed(&PsoMachine, prog, limits, cfg),
-        other => panic!("machine `{other}` is not wired into this test"),
-    };
+    let opts = Opts { checkpoint: Checkpoint::Fresh(cfg), ..Opts::default() };
+    let ex = with_machine!(spec.machine.as_str(), |m| run(&m, prog, spec.limits(1), &opts),
+        other => panic!("unknown machine `{other}`"));
     ex.unwrap().truncation
 }
 

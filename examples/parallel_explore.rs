@@ -5,10 +5,10 @@
 //! parallel engine at increasing worker counts, verifying that the
 //! semantic results are identical and printing each run's
 //! [`ExplorationStats`]. Each subject is then re-explored under
-//! partial-order reduction ([`explore_reduced`] and the
-//! [`Reduction::Ample`] knob in both engines), asserting that the
-//! reduced searches reach the same outcome and deadlock sets while
-//! visiting fewer states.
+//! partial-order reduction ([`Reduction::Sleep`], the sleep-set engine,
+//! and the [`Reduction::Ample`] knob in both other engines), asserting
+//! that the reduced searches reach the same outcome and deadlock sets
+//! while visiting fewer states.
 //!
 //! On a multicore host the large subject shows the parallel engine
 //! overtaking the DFS; on a single hardware thread it degrades to a
@@ -24,7 +24,7 @@
 //! ```
 
 use weakord::mc::machines::{BnrMachine, WoDef2Machine};
-use weakord::mc::{explore, explore_reduced, explore_seq, Limits, Machine, Reduction};
+use weakord::mc::{explore, explore_seq, Limits, Machine, Reduction};
 use weakord::progs::workloads::{spinlock, SpinlockParams};
 use weakord::progs::{litmus, Program};
 
@@ -66,7 +66,7 @@ fn report<M: Machine>(machine: &M, name: &str, prog: &Program, min_shrink: usize
     // Partial-order reduction: the sleep-set engine and the ample-only
     // knob (in both engines) must reach exactly the reachable outcome
     // and deadlock sets of the full search, in fewer states.
-    let red = explore_reduced(machine, prog, Limits::default());
+    let red = explore(machine, prog, Limits::with_reduction(Reduction::Sleep));
     assert_eq!(red.outcomes, seq.outcomes, "reduction must preserve outcomes");
     assert_eq!(red.deadlocks, seq.deadlocks, "reduction must preserve deadlocks");
     assert!(red.states <= seq.states, "reduction must not grow the search");

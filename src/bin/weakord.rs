@@ -63,10 +63,8 @@ use weakord::mc::machines::{
     WoDef2Machine, WriteBufferMachine,
 };
 use weakord::mc::{
-    check_program_drf, explore, explore_checkpointed, explore_checkpointed_with_progress,
-    explore_reduced, explore_reduced_checkpointed, explore_with_progress, find_witness,
-    resume_exploration, resume_reduced, resume_with_progress, shrink_witness, CancelToken,
-    CheckpointCfg, Exploration, Limits, Machine, ProgressSink, TraceLimits,
+    check_program_drf, explore, find_witness, run, shrink_witness, with_machine, Checkpoint,
+    CheckpointCfg, Exploration, Limits, Machine, Opts, ProgressSink, Reduction, TraceLimits,
 };
 use weakord::obs::{chrome_trace, jsonl, Event, MemTracer, MetricsRegistry, Track};
 use weakord::progs::delay::delay_set;
@@ -204,23 +202,13 @@ witness interleaving on `{}` for the forbidden outcome:",
             ),
         }
     }
-    match machine {
-        "sc" => go(&ScMachine, lit),
-        "write-buffer" => go(&WriteBufferMachine, lit),
-        "tso" => go(&TsoMachine, lit),
-        "pso" => go(&PsoMachine, lit),
-        "net-reorder" => go(&NetReorderMachine, lit),
-        "cache-delay" => go(&CacheDelayMachine, lit),
-        "wo-def1" => go(&WoDef1Machine, lit),
-        "wo-def2" => go(&WoDef2Machine::default(), lit),
-        other => eprintln!("unknown machine `{other}`"),
-    }
+    with_machine!(machine, |m| go(&m, lit), other => eprintln!("unknown machine `{other}`"))
 }
 
 const EXPLORE_USAGE: &str = "usage: weakord explore <litmus-name|file.litmus> [opts]\n\
  \u{20}opts: --machine sc|write-buffer|tso|pso|net-reorder|cache-delay|wo-def1|wo-def2\n\
  \u{20}                               machine to explore (default wo-def2)\n\
- \u{20}      --reduce                 partial-order reduction (sleep-set engine)\n\
+ \u{20}      --reduce                 partial-order reduction (sequential sleep-set engine)\n\
  \u{20}      --threads N              worker threads (0 = all cores)\n\
  \u{20}      --max-states N           state cap\n\
  \u{20}      --memory-budget BYTES    visited-set RAM ceiling (K/M/G suffix ok);\n\
@@ -230,9 +218,9 @@ const EXPLORE_USAGE: &str = "usage: weakord explore <litmus-name|file.litmus> [o
  \u{20}      --checkpoint-every N     autosave period in admitted states (default 10000)\n\
  \u{20}      --resume                 continue from the checkpoint in <dir>\n\
  \u{20}      --abort-after N          suspend after N autosaves (kill/resume testing)\n\
+ \u{20}                               (these three need --checkpoint)\n\
  \u{20}      --shrink                 delta-debug a minimal non-SC witness after the run\n\
  \u{20}      --progress               heartbeat lines on stderr while exploring\n\
- \u{20}                               (parallel engine only; ignored with --reduce)\n\
  \u{20}      --trace out.json         Chrome trace with checkpoint/shrink spans\n\
  \u{20}      --trace-jsonl out.jsonl  line-delimited event log\n\
  \u{20}      --metrics                dump the metrics registry (to stderr)\n\
@@ -259,7 +247,18 @@ fn cmd_explore(rest: &[&str]) {
     } else {
         find_litmus(target).program
     };
-    let mut limits = if rest.contains(&"--reduce") { Limits::reduced() } else { Limits::default() };
+    if !rest.contains(&"--checkpoint") {
+        let needs_dir = ["--resume", "--abort-after", "--checkpoint-every"];
+        if let Some(f) = needs_dir.iter().find(|f| rest.contains(f)) {
+            eprintln!("{f} needs --checkpoint <dir>\n{EXPLORE_USAGE}");
+            exit(2);
+        }
+    }
+    let mut limits = if rest.contains(&"--reduce") {
+        Limits::with_reduction(Reduction::Sleep)
+    } else {
+        Limits::default()
+    };
     if let Some(t) = flag(rest, "--threads") {
         limits.threads = t.parse().expect("--threads takes a number");
     }
@@ -272,20 +271,11 @@ fn cmd_explore(rest: &[&str]) {
             exit(2);
         }));
     }
-    match flag(rest, "--machine").as_deref().unwrap_or("wo-def2") {
-        "sc" => explore_cli(&ScMachine, &prog, limits, rest),
-        "write-buffer" => explore_cli(&WriteBufferMachine, &prog, limits, rest),
-        "tso" => explore_cli(&TsoMachine, &prog, limits, rest),
-        "pso" => explore_cli(&PsoMachine, &prog, limits, rest),
-        "net-reorder" => explore_cli(&NetReorderMachine, &prog, limits, rest),
-        "cache-delay" => explore_cli(&CacheDelayMachine, &prog, limits, rest),
-        "wo-def1" => explore_cli(&WoDef1Machine, &prog, limits, rest),
-        "wo-def2" => explore_cli(&WoDef2Machine::default(), &prog, limits, rest),
-        other => {
-            eprintln!("unknown machine `{other}`");
-            exit(2);
-        }
-    }
+    let machine = flag(rest, "--machine").unwrap_or_else(|| "wo-def2".to_string());
+    with_machine!(machine.as_str(), |m| explore_cli(&m, &prog, limits, rest), other => {
+        eprintln!("unknown machine `{other}`");
+        exit(2);
+    })
 }
 
 /// Parses a byte count with an optional K/M/G (or KiB-style) suffix.
@@ -336,65 +326,43 @@ fn spawn_heartbeat(
 }
 
 fn explore_cli<M: Machine>(m: &M, prog: &Program, limits: Limits, rest: &[&str]) {
-    let reduce = rest.contains(&"--reduce");
     let resume = rest.contains(&"--resume");
     let mut events: Vec<Event> = Vec::new();
-    let heartbeat = if rest.contains(&"--progress") {
-        if reduce {
-            // The sleep-set engine has no worker safepoints to sample.
-            eprintln!("note: --progress is not supported with --reduce; ignoring");
-            None
-        } else {
-            Some(spawn_heartbeat())
+    let heartbeat = rest.contains(&"--progress").then(spawn_heartbeat);
+    let cfg = flag(rest, "--checkpoint").map(|dir| {
+        let mut cfg = CheckpointCfg::new(dir);
+        if let Some(n) = flag(rest, "--checkpoint-every") {
+            cfg.every = n.parse().expect("--checkpoint-every takes a number");
         }
-    } else {
-        None
+        cfg.abort_after =
+            flag(rest, "--abort-after").map(|n| n.parse().expect("--abort-after takes a number"));
+        cfg
+    });
+    let checkpoint = match &cfg {
+        None => Checkpoint::Off,
+        Some(cfg) if resume => Checkpoint::Resume(cfg),
+        Some(cfg) => Checkpoint::Fresh(cfg),
     };
-    let sink = heartbeat.as_ref().map(|(s, _, _)| s);
-    let ex = match flag(rest, "--checkpoint") {
-        Some(dir) => {
-            let mut cfg = CheckpointCfg::new(dir);
-            if let Some(n) = flag(rest, "--checkpoint-every") {
-                cfg.every = n.parse().expect("--checkpoint-every takes a number");
-            }
-            cfg.abort_after = flag(rest, "--abort-after")
-                .map(|n| n.parse().expect("--abort-after takes a number"));
-            let cancel = CancelToken::new();
-            let result = match (resume, reduce, sink) {
-                (false, false, Some(s)) => {
-                    explore_checkpointed_with_progress(m, prog, limits, &cfg, &cancel, s)
-                }
-                (false, false, None) => explore_checkpointed(m, prog, limits, &cfg),
-                (false, true, _) => explore_reduced_checkpointed(m, prog, limits, &cfg),
-                (true, false, Some(s)) => resume_with_progress(m, prog, limits, &cfg, &cancel, s),
-                (true, false, None) => resume_exploration(m, prog, limits, &cfg),
-                (true, true, _) => resume_reduced(m, prog, limits, &cfg),
-            };
-            let ex = result.unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                exit(1);
-            });
-            if resume {
-                events.push(Event::instant(0, Track::Ckpt, "mc", "checkpoint-load"));
-            }
-            events.push(
-                Event::span(
-                    0,
-                    ex.stats.checkpoint_time.as_millis().min(u128::from(u64::MAX)) as u64,
-                    Track::Ckpt,
-                    "mc",
-                    "checkpoint-save",
-                )
-                .arg("count", i64::from(ex.stats.checkpoints)),
-            );
-            ex
+    let opts = Opts { progress: heartbeat.as_ref().map(|(s, _, _)| s), checkpoint, cancel: None };
+    let ex = run(m, prog, limits, &opts).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        exit(1);
+    });
+    if cfg.is_some() {
+        if resume {
+            events.push(Event::instant(0, Track::Ckpt, "mc", "checkpoint-load"));
         }
-        None if reduce => explore_reduced(m, prog, limits),
-        None => match sink {
-            Some(s) => explore_with_progress(m, prog, limits, None, s),
-            None => explore(m, prog, limits),
-        },
-    };
+        events.push(
+            Event::span(
+                0,
+                ex.stats.checkpoint_time.as_millis().min(u128::from(u64::MAX)) as u64,
+                Track::Ckpt,
+                "mc",
+                "checkpoint-save",
+            )
+            .arg("count", i64::from(ex.stats.checkpoints)),
+        );
+    }
     if let Some((s, stop, handle)) = heartbeat {
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         let _ = handle.join();
@@ -512,7 +480,7 @@ fn cmd_corpus(rest: &[&str]) {
         eprintln!("wrote {} shapes to {dir}/", shapes.len());
         return;
     }
-    let mut limits = Limits::default();
+    let mut limits = Limits::with_reduction(Reduction::Sleep);
     if let Some(n) = flag(rest, "--max-states") {
         limits.max_states = n.parse().expect("--max-states takes a number");
     }
@@ -543,7 +511,7 @@ fn cmd_corpus(rest: &[&str]) {
         }
         // Dynamic leg: exploration must agree with the static call on
         // every modeled machine, and SC outcomes must be contained.
-        let sc = explore_reduced(&ScMachine, &s.program, limits).outcomes;
+        let sc = explore(&ScMachine, &s.program, limits).outcomes;
         let mut observed: Vec<&str> = Vec::new();
         let mut bad: Vec<String> = Vec::new();
         let mut probe = |name: &'static str, class: ModelClass, got: Exploration| {
@@ -561,15 +529,11 @@ fn cmd_corpus(rest: &[&str]) {
         probe(
             "write-buffer",
             ModelClass::WriteBuffer,
-            explore_reduced(&WriteBufferMachine, &s.program, limits),
+            explore(&WriteBufferMachine, &s.program, limits),
         );
-        probe("tso", ModelClass::Tso, explore_reduced(&TsoMachine, &s.program, limits));
-        probe("pso", ModelClass::Pso, explore_reduced(&PsoMachine, &s.program, limits));
-        probe(
-            "wo-def2",
-            ModelClass::Wo,
-            explore_reduced(&WoDef2Machine::default(), &s.program, limits),
-        );
+        probe("tso", ModelClass::Tso, explore(&TsoMachine, &s.program, limits));
+        probe("pso", ModelClass::Pso, explore(&PsoMachine, &s.program, limits));
+        probe("wo-def2", ModelClass::Wo, explore(&WoDef2Machine::default(), &s.program, limits));
         let shown = if observed.is_empty() { "-".to_string() } else { observed.join(" ") };
         if bad.is_empty() {
             println!(
@@ -775,16 +739,8 @@ witness interleaving on `{}` for a non-SC outcome:",
                 ),
             }
         }
-        match machine.as_str() {
-            "write-buffer" => wit(&WriteBufferMachine, &prog, lit_like),
-            "tso" => wit(&TsoMachine, &prog, lit_like),
-            "pso" => wit(&PsoMachine, &prog, lit_like),
-            "net-reorder" => wit(&NetReorderMachine, &prog, lit_like),
-            "cache-delay" => wit(&CacheDelayMachine, &prog, lit_like),
-            "wo-def1" => wit(&WoDef1Machine, &prog, lit_like),
-            "wo-def2" => wit(&WoDef2Machine::default(), &prog, lit_like),
-            other => eprintln!("unknown machine `{other}`"),
-        }
+        with_machine!(machine.as_str(), |m| wit(&m, &prog, lit_like),
+            other => eprintln!("unknown machine `{other}`"))
     }
 }
 

@@ -224,17 +224,18 @@ const EXPECTED_SUBSET: [[bool; 5]; 5] = [
 ];
 
 fn grid_outcome_sets(prog: &Program) -> [std::collections::BTreeSet<weakord::progs::Outcome>; 5] {
-    use weakord::mc::explore_reduced;
+    use weakord::mc::Reduction;
+    let sleep = Limits::with_reduction(Reduction::Sleep);
     let run = |ex: weakord::mc::Exploration| {
         assert!(ex.truncation.is_none(), "{} truncated", prog.name);
         ex.outcomes
     };
     [
-        run(explore_reduced(&ScMachine, prog, Limits::default())),
-        run(explore_reduced(&WriteBufferMachine, prog, Limits::default())),
-        run(explore_reduced(&TsoMachine, prog, Limits::default())),
-        run(explore_reduced(&PsoMachine, prog, Limits::default())),
-        run(explore_reduced(&WoDef2Machine::default(), prog, Limits::default())),
+        run(explore(&ScMachine, prog, sleep)),
+        run(explore(&WriteBufferMachine, prog, sleep)),
+        run(explore(&TsoMachine, prog, sleep)),
+        run(explore(&PsoMachine, prog, sleep)),
+        run(explore(&WoDef2Machine::default(), prog, sleep)),
     ]
 }
 
@@ -334,12 +335,13 @@ fn containment_grid_holds_on_the_full_corpus() {
 #[test]
 fn drf_corpus_shapes_appear_sc_on_every_sync_honoring_machine() {
     use weakord::mc::machines::BnrMachine;
-    use weakord::mc::{explore_reduced, Machine};
+    use weakord::mc::{Machine, Reduction};
+    let sleep = Limits::with_reduction(Reduction::Sleep);
     for shape in gen::corpus(0).iter().filter(|s| s.drf) {
-        let sc = explore_reduced(&ScMachine, &shape.program, Limits::default()).outcomes;
+        let sc = explore(&ScMachine, &shape.program, sleep).outcomes;
         macro_rules! check {
             ($m:expr) => {
-                let got = explore_reduced(&$m, &shape.program, Limits::default()).outcomes;
+                let got = explore(&$m, &shape.program, sleep).outcomes;
                 assert_eq!(
                     got,
                     sc,

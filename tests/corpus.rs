@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 
 use weakord::core::HbMode;
 use weakord::mc::machines::{PsoMachine, ScMachine, TsoMachine, WoDef2Machine, WriteBufferMachine};
-use weakord::mc::{check_program_drf, explore_reduced, Limits, Machine, TraceLimits};
+use weakord::mc::{check_program_drf, explore, Limits, Machine, Reduction, TraceLimits};
 use weakord::progs::gen::{corpus, predicts_weak, LitmusShape, ModelClass};
 use weakord::progs::{unparse_program, Outcome};
 
@@ -16,7 +16,7 @@ use weakord::progs::{unparse_program, Outcome};
 /// cross-checked in `tests/litmus_files.rs`) keeps the full sweep
 /// tractable in debug builds.
 fn outcomes<M: Machine>(machine: &M, shape: &LitmusShape) -> BTreeSet<Outcome> {
-    let ex = explore_reduced(machine, &shape.program, Limits::default());
+    let ex = explore(machine, &shape.program, Limits::with_reduction(Reduction::Sleep));
     assert!(ex.truncation.is_none(), "{} truncated on {}", machine.name(), shape.name);
     assert_eq!(ex.deadlocks, 0, "{} deadlocked on {}", machine.name(), shape.name);
     ex.outcomes

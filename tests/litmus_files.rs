@@ -121,7 +121,7 @@ fn conformance_matrix_on_every_machine_full_and_reduced() {
         BnrMachine, CacheDelayMachine, NetReorderMachine, PsoMachine, TsoMachine, WoDef1Machine,
         WoDef2Machine, WriteBufferMachine,
     };
-    use weakord::mc::{explore_reduced, Machine};
+    use weakord::mc::{Machine, Reduction};
     use weakord::progs::{Outcome, Program, Reg};
 
     // Machine order: sc, write-buffer, tso, pso, net-reorder,
@@ -145,7 +145,7 @@ fn conformance_matrix_on_every_machine_full_and_reduced() {
             if reduce {
                 // The dedicated sleep-set engine must agree with the
                 // ample-only knob exactly, file by file.
-                let red = explore_reduced(m, prog, Limits::default());
+                let red = explore(m, prog, Limits::with_reduction(Reduction::Sleep));
                 assert_eq!(red.outcomes, ex.outcomes, "{} on `{}`", m.name(), prog.name);
                 assert_eq!(red.deadlocks, 0, "{} on `{}`", m.name(), prog.name);
             }
@@ -241,7 +241,7 @@ fn conformance_matrix_on_every_machine_full_and_reduced() {
 fn dekker_expectation_directives_hold() {
     use std::collections::BTreeSet;
     use weakord::core::Value;
-    use weakord::mc::machines::{PsoMachine, TsoMachine, WoDef2Machine, WriteBufferMachine};
+    use weakord::mc::with_machine;
     use weakord::progs::{Outcome, Reg};
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/litmus/dekker.litmus");
@@ -249,14 +249,8 @@ fn dekker_expectation_directives_hold() {
     let prog = parse_program(&src).expect("parses");
 
     let outcomes = |machine: &str| -> BTreeSet<Outcome> {
-        match machine {
-            "sc" => explore(&ScMachine, &prog, Limits::default()).outcomes,
-            "write-buffer" => explore(&WriteBufferMachine, &prog, Limits::default()).outcomes,
-            "tso" => explore(&TsoMachine, &prog, Limits::default()).outcomes,
-            "pso" => explore(&PsoMachine, &prog, Limits::default()).outcomes,
-            "wo-def2" => explore(&WoDef2Machine::default(), &prog, Limits::default()).outcomes,
-            other => panic!("directive names unknown machine `{other}`"),
-        }
+        with_machine!(machine, |m| explore(&m, &prog, Limits::default()).outcomes,
+            other => panic!("directive names unknown machine `{other}`"))
     };
 
     // Parse `P<t>:r<k>=<v>` conjunction terms.

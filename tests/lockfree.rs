@@ -1,12 +1,10 @@
 //! Differential battery for the lock-free explorer core.
 //!
-//! The PR that replaced the mutex-shard visited set with the lock-free
-//! fingerprint table (`weakord::mc::visited`) claims *semantic
-//! invisibility*: outcomes, state counts, and deadlock counts are
-//! byte-for-byte what the sequential reference (`explore_seq`) and the
-//! frozen legacy engine (`explore_legacy`) produce, across every
-//! machine, the whole litmus suite (built-in and on-disk `.litmus`
-//! files), a seeded slice of the generated corpus with reduction on and
+//! The lock-free fingerprint table (`weakord::mc::visited`) claims
+//! *semantic invisibility*: outcomes, state counts, and deadlock counts
+//! are byte-for-byte what the sequential reference (`explore_seq`)
+//! produces, across every machine, the whole litmus suite (built-in and
+//! on-disk `.litmus` files), a seeded slice of the generated corpus with reduction on and
 //! off, any thread count, and any memory budget (including one tiny
 //! enough to force every state through the disk spill). These tests
 //! are the regression net for that claim — each asserts `Exploration`
@@ -17,9 +15,7 @@ use weakord::mc::machines::{
     CacheDelayMachine, NetReorderMachine, PsoMachine, ScMachine, TsoMachine, WoDef1Machine,
     WoDef2Machine, WriteBufferMachine,
 };
-use weakord::mc::{
-    explore, explore_legacy, explore_reduced, explore_seq, Exploration, Limits, Machine,
-};
+use weakord::mc::{explore, explore_seq, Limits, Machine, Reduction};
 use weakord::progs::{gen, litmus, parse_program, Program};
 
 /// Caps differential runs so the whole battery stays CI-sized; chosen
@@ -110,8 +106,8 @@ fn corpus_sample_matches_seq_with_and_without_reduction() {
         }
         // Reduction prunes states, never outcomes or deadlocks.
         let mut red_limits = limits(1);
-        red_limits.reduction = weakord::mc::Reduction::Ample;
-        let red = explore_reduced(m, prog, red_limits);
+        red_limits.reduction = Reduction::Sleep;
+        let red = explore(m, prog, red_limits);
         assert!(!red.truncated(), "{name} on {} reduced: truncated", m.name());
         assert_eq!(red.outcomes, seq.outcomes, "{name} on {} reduced outcomes", m.name());
         assert_eq!(red.deadlocks, seq.deadlocks, "{name} on {} reduced deadlocks", m.name());
@@ -139,36 +135,6 @@ fn results_are_deterministic_across_runs_and_thread_counts() {
                 assert_eq!(ex, reference, "{} @ {threads} threads, repetition {rep}", lit.name);
             }
         }
-    }
-}
-
-/// The frozen legacy engine still agrees with both other engines — it
-/// is only useful as a benchmark baseline while it computes the same
-/// thing the measured engine computes.
-#[test]
-fn legacy_engine_agrees_with_both_other_engines() {
-    for lit in [litmus::fig1_dekker(), litmus::iriw(), litmus::wrc()] {
-        for m in [&TsoMachine as &dyn DynExplore, &PsoMachine, &ScMachine] {
-            let (seq, new, old) = m.all_three(&lit.program);
-            assert_eq!(new, seq, "{} lock-free vs seq", lit.name);
-            assert_eq!(old, seq, "{} legacy vs seq", lit.name);
-        }
-    }
-}
-
-/// Object-safe shim so the legacy test can loop over machines of
-/// different state types.
-trait DynExplore {
-    fn all_three(&self, prog: &Program) -> (Exploration, Exploration, Exploration);
-}
-
-impl<M: Machine> DynExplore for M {
-    fn all_three(&self, prog: &Program) -> (Exploration, Exploration, Exploration) {
-        (
-            explore_seq(self, prog, limits(1)),
-            explore(self, prog, limits(2)),
-            explore_legacy(self, prog, limits(2)),
-        )
     }
 }
 

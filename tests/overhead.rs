@@ -22,7 +22,7 @@ use std::sync::Mutex;
 
 use weakord::coherence::{CoherentMachine, Config, Policy};
 use weakord::mc::machines::WoDef1Machine;
-use weakord::mc::{explore, explore_with_progress, Limits, ProgressSink};
+use weakord::mc::{explore, run, Limits, Opts, ProgressSink};
 use weakord::obs::MemTracer;
 use weakord::progs::workloads::{fig3_scenario, ticket_lock, Fig3Params, SpinlockParams};
 use weakord::progs::{litmus, Program};
@@ -124,7 +124,10 @@ fn explore_allocs(prog: &Program, sink: Option<&ProgressSink>) -> u64 {
         .map(|_| {
             let limits = Limits { threads: 1, ..Limits::default() };
             let (n, ex) = allocs_during(|| match sink {
-                Some(s) => explore_with_progress(&WoDef1Machine, prog, limits, None, s),
+                Some(s) => {
+                    let opts = Opts { progress: Some(s), ..Opts::default() };
+                    run(&WoDef1Machine, prog, limits, &opts).expect("no checkpoint")
+                }
                 None => explore(&WoDef1Machine, prog, limits),
             });
             assert!(ex.states > 0);

@@ -4,8 +4,9 @@
 //! The contract under test: killing an exploration at *any* checkpoint
 //! boundary and resuming it produces exactly the outcome set, state
 //! count, and deadlock count of an uninterrupted run — for every
-//! shipped litmus file, with the partial-order reduction both off
-//! (parallel engine) and on (sleep-set engine). The crash is injected
+//! shipped litmus file and every reduction mode (the parallel engine
+//! with and without ample sets, and the sleep-set engine), all through
+//! the one `run` entry point. The crash is injected
 //! deterministically with [`CheckpointCfg::abort_after`], and the
 //! resumed run is itself re-killed at its next checkpoint, so one loop
 //! exercises every checkpoint boundary the run ever reaches.
@@ -15,9 +16,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use weakord::mc::machines::{ScMachine, WoDef2Machine};
 use weakord::mc::{
-    explore, explore_checkpointed, explore_reduced, explore_reduced_checkpointed,
-    resume_exploration, resume_reduced, CheckpointCfg, CheckpointError, Exploration, Label, Limits,
-    Machine, TruncationReason,
+    explore, run, Checkpoint, CheckpointCfg, CheckpointError, Exploration, Label, Limits, Machine,
+    Opts, Reduction, TruncationReason,
 };
 use weakord::progs::{litmus, parse_program, Outcome, Program, ThreadState};
 
@@ -35,6 +35,18 @@ fn shipped_litmus_programs() -> Vec<Program> {
     progs.sort_by(|a, b| a.name.cmp(&b.name));
     assert!(progs.len() >= 7, "expected the shipped sample files, found {}", progs.len());
     progs
+}
+
+/// One checkpointed leg: a fresh start, or a resume of `cfg`'s file.
+fn leg<M: Machine>(
+    m: &M,
+    prog: &Program,
+    limits: Limits,
+    cfg: &CheckpointCfg,
+    resume: bool,
+) -> Result<Exploration, CheckpointError> {
+    let checkpoint = if resume { Checkpoint::Resume(cfg) } else { Checkpoint::Fresh(cfg) };
+    run(m, prog, limits, &Opts { checkpoint, ..Opts::default() })
 }
 
 fn tmp_ckpt_dir(tag: &str) -> std::path::PathBuf {
@@ -61,48 +73,28 @@ fn assert_equivalent(resumed: &Exploration, oracle: &Exploration, ctx: &str) {
 #[test]
 fn kill_resume_equivalence_across_litmus_files() {
     for prog in shipped_litmus_programs() {
-        for reduce in [false, true] {
+        for reduction in [Reduction::Full, Reduction::Ample, Reduction::Sleep] {
             let m = WoDef2Machine::default();
-            let limits = if reduce {
-                Limits { threads: 2, ..Limits::reduced() }
-            } else {
-                Limits::with_threads(2)
-            };
-            let oracle = if reduce {
-                explore_reduced(&m, &prog, limits)
-            } else {
-                explore(&m, &prog, limits)
-            };
-            let ctx = format!("{} (reduce={reduce})", prog.name);
-            let dir = tmp_ckpt_dir(&format!("{}-{}", prog.name, reduce));
+            let limits = Limits { threads: 2, ..Limits::with_reduction(reduction) };
+            let oracle = explore(&m, &prog, limits);
+            let ctx = format!("{} ({reduction:?})", prog.name);
+            let dir = tmp_ckpt_dir(&format!("{}-{reduction:?}", prog.name));
             let mut cfg = CheckpointCfg::every(&dir, 40);
             cfg.abort_after = Some(1);
-            let mut ex = if reduce {
-                explore_reduced_checkpointed(&m, &prog, limits, &cfg)
-            } else {
-                explore_checkpointed(&m, &prog, limits, &cfg)
-            }
-            .unwrap_or_else(|e| panic!("{ctx}: first leg: {e}"));
+            let mut ex = leg(&m, &prog, limits, &cfg, false)
+                .unwrap_or_else(|e| panic!("{ctx}: first leg: {e}"));
             let mut legs = 0;
             while ex.stats.truncation == Some(TruncationReason::Resumable) {
                 legs += 1;
                 assert!(legs < 10_000, "{ctx}: resume loop did not converge");
-                ex = if reduce {
-                    resume_reduced(&m, &prog, limits, &cfg)
-                } else {
-                    resume_exploration(&m, &prog, limits, &cfg)
-                }
-                .unwrap_or_else(|e| panic!("{ctx}: leg {legs}: {e}"));
+                ex = leg(&m, &prog, limits, &cfg, true)
+                    .unwrap_or_else(|e| panic!("{ctx}: leg {legs}: {e}"));
             }
             assert_equivalent(&ex, &oracle, &ctx);
             // A redundant resume of the *completed* checkpoint is a
             // no-op returning the same final answer.
-            let again = if reduce {
-                resume_reduced(&m, &prog, limits, &cfg)
-            } else {
-                resume_exploration(&m, &prog, limits, &cfg)
-            }
-            .unwrap_or_else(|e| panic!("{ctx}: idempotent resume: {e}"));
+            let again = leg(&m, &prog, limits, &cfg, true)
+                .unwrap_or_else(|e| panic!("{ctx}: idempotent resume: {e}"));
             assert_equivalent(&again, &oracle, &format!("{ctx} (idempotent resume)"));
             let _ = fs::remove_dir_all(&dir);
         }
@@ -118,27 +110,28 @@ fn resume_refuses_mismatched_configuration() {
     let dir = tmp_ckpt_dir("mismatch");
     let mut cfg = CheckpointCfg::every(&dir, 30);
     cfg.abort_after = Some(1);
-    explore_checkpointed(&m, &prog, Limits::default(), &cfg).expect("first leg");
+    leg(&m, &prog, Limits::default(), &cfg, false).expect("first leg");
     // Different program.
-    match resume_exploration(&m, &other, Limits::default(), &cfg) {
+    match leg(&m, &other, Limits::default(), &cfg, true) {
         Err(CheckpointError::ConfigMismatch { .. }) => {}
         other => panic!("expected ConfigMismatch, got {other:?}"),
     }
     // Different machine.
-    match resume_exploration(&ScMachine, &prog, Limits::default(), &cfg) {
+    match leg(&ScMachine, &prog, Limits::default(), &cfg, true) {
         Err(CheckpointError::ConfigMismatch { .. }) => {}
         other => panic!("expected ConfigMismatch, got {other:?}"),
     }
     // Different state cap.
-    match resume_exploration(&m, &prog, Limits::with_max_states(7), &cfg) {
+    match leg(&m, &prog, Limits::with_max_states(7), &cfg, true) {
         Err(CheckpointError::ConfigMismatch { .. }) => {}
         other => panic!("expected ConfigMismatch, got {other:?}"),
     }
-    // Wrong engine (reduced resume of a parallel checkpoint). Reduction
-    // mode is part of the fingerprint, so this also refuses.
-    match resume_reduced(&m, &prog, Limits::reduced(), &cfg) {
-        Err(CheckpointError::ConfigMismatch { .. } | CheckpointError::EngineMismatch { .. }) => {}
-        other => panic!("expected a mismatch error, got {other:?}"),
+    // Wrong engine (a sleep-set resume of a parallel checkpoint). The
+    // reduction mode, and with it the engine, is part of the
+    // fingerprint, so the configuration check refuses it first.
+    match leg(&m, &prog, Limits::with_reduction(Reduction::Sleep), &cfg, true) {
+        Err(CheckpointError::ConfigMismatch { .. }) => {}
+        other => panic!("expected ConfigMismatch, got {other:?}"),
     }
     let _ = fs::remove_dir_all(&dir);
 }
@@ -150,7 +143,7 @@ fn corrupted_checkpoints_fail_cleanly() {
     let m = WoDef2Machine::default();
     let dir = tmp_ckpt_dir("corrupt");
     let cfg = CheckpointCfg::every(&dir, 0);
-    explore_checkpointed(&m, &prog, Limits::default(), &cfg).expect("run");
+    leg(&m, &prog, Limits::default(), &cfg, false).expect("run");
     let file = cfg.file();
     let good = fs::read(&file).expect("checkpoint written");
 
@@ -159,7 +152,7 @@ fn corrupted_checkpoints_fail_cleanly() {
     let i = bad.len() - 3;
     bad[i] ^= 0xFF;
     fs::write(&file, &bad).unwrap();
-    match resume_exploration(&m, &prog, Limits::default(), &cfg) {
+    match leg(&m, &prog, Limits::default(), &cfg, true) {
         Err(CheckpointError::BadChecksum { .. }) => {}
         other => panic!("expected BadChecksum, got {other:?}"),
     }
@@ -168,14 +161,14 @@ fn corrupted_checkpoints_fail_cleanly() {
     let mut bad = good.clone();
     bad[6] = 99;
     fs::write(&file, &bad).unwrap();
-    match resume_exploration(&m, &prog, Limits::default(), &cfg) {
+    match leg(&m, &prog, Limits::default(), &cfg, true) {
         Err(CheckpointError::BadVersion(99)) => {}
         other => panic!("expected BadVersion, got {other:?}"),
     }
 
     // Not a checkpoint at all.
     fs::write(&file, b"not a checkpoint").unwrap();
-    match resume_exploration(&m, &prog, Limits::default(), &cfg) {
+    match leg(&m, &prog, Limits::default(), &cfg, true) {
         Err(CheckpointError::BadMagic) => {}
         other => panic!("expected BadMagic, got {other:?}"),
     }
@@ -187,14 +180,14 @@ fn corrupted_checkpoints_fail_cleanly() {
     let sum = weakord::mc::checkpoint::fnv1a(&torn[16..]);
     torn[8..16].copy_from_slice(&sum.to_le_bytes());
     fs::write(&file, &torn).unwrap();
-    match resume_exploration(&m, &prog, Limits::default(), &cfg) {
+    match leg(&m, &prog, Limits::default(), &cfg, true) {
         Err(CheckpointError::Malformed(_)) => {}
         other => panic!("expected Malformed, got {other:?}"),
     }
 
     // Missing file: an I/O error naming the path.
     fs::remove_file(&file).unwrap();
-    match resume_exploration(&m, &prog, Limits::default(), &cfg) {
+    match leg(&m, &prog, Limits::default(), &cfg, true) {
         Err(CheckpointError::Io(p, _)) => assert_eq!(p, file),
         other => panic!("expected Io, got {other:?}"),
     }
@@ -313,12 +306,12 @@ fn checkpointed_run_with_transient_panic_resumes_to_oracle() {
     let mut cfg = CheckpointCfg::every(&dir, 50);
     cfg.abort_after = Some(1);
     let m = PanickyMachine::new(30, true);
-    let mut ex = explore_checkpointed(&m, &prog, Limits::with_threads(2), &cfg).expect("first leg");
+    let mut ex = leg(&m, &prog, Limits::with_threads(2), &cfg, false).expect("first leg");
     let mut legs = 0;
     while ex.stats.truncation == Some(TruncationReason::Resumable) {
         legs += 1;
         assert!(legs < 10_000);
-        ex = resume_exploration(&m, &prog, Limits::with_threads(2), &cfg).expect("resume");
+        ex = leg(&m, &prog, Limits::with_threads(2), &cfg, true).expect("resume");
     }
     assert_eq!(ex.outcomes, oracle.outcomes);
     assert_eq!(ex.states, oracle.states);
