@@ -21,8 +21,10 @@
 //!   tail* of its newest admissions decoded — expanded LIFO without a
 //!   decode — so the depth-first spine pays no codec round-trip, and
 //!   recycles retired successor states through a pool
-//!   ([`Machine::successors_into`]) so steady-state expansion performs
-//!   no per-arc heap allocation. With
+//!   ([`Machine::successors_into`]), so steady-state expansion allocates
+//!   once per admitted state (its encoded payload) and nothing per arc.
+//!   A worker that sees an idle peer parks the older half of its hot
+//!   tail in its deque, where the peer steals it. With
 //!   [`Limits::memory_budget`] set, encoded states past the budget
 //!   spill to disk and capacity is bounded by disk, not RAM.
 //! * the sleep-set engine ([`Reduction::Sleep`], see [`crate::reduce`]):
@@ -757,7 +759,8 @@ pub(crate) const PROGRESS_CHECK_EVERY: u32 = 64;
 /// Per-worker cap on decoded states kept in the hot tail. Beyond it the
 /// oldest entries park in the shared frontier as bare ids: worker
 /// memory stays bounded at `HOT_CAP` states while deep depth-first
-/// spines still skip (nearly) every decode.
+/// spines still skip (nearly) every decode. Parking for an idle peer
+/// does not wait for the cap.
 const HOT_CAP: usize = 1024;
 
 /// Per-worker cap on retired states kept for reuse; more would just be
@@ -923,6 +926,11 @@ struct Engine<'a, M: Machine> {
     /// drain-out, stop, or absorbed panic) decrement it so a
     /// checkpoint coordinator never waits for the departed.
     active: AtomicUsize,
+    /// Workers currently out of work, waiting on a peer. A worker with
+    /// a hot tail that sees it non-zero parks half the tail for them.
+    /// A hint only (`Relaxed`): it publishes no data, and a stale read
+    /// costs one early or late split.
+    idle: AtomicUsize,
     /// Panics absorbed by the isolation protocol.
     worker_panics: AtomicU64,
     steals: AtomicU64,
@@ -995,6 +1003,7 @@ impl<'a, M: Machine> Engine<'a, M> {
             deadline_at: limits.deadline.map(|d| started + d),
             overshoot_nanos: AtomicU64::new(0),
             active: AtomicUsize::new(workers),
+            idle: AtomicUsize::new(0),
             worker_panics: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             peak_frontier: AtomicUsize::new(0),
@@ -1049,6 +1058,27 @@ impl<'a, M: Machine> Engine<'a, M> {
     fn push_id(&self, worker: usize, id: u64) {
         let mut q = lock_clean(&self.frontiers[worker]);
         q.push_back(id);
+        let len = q.len();
+        drop(q);
+        self.peak_frontier.fetch_max(len, Ordering::Relaxed);
+    }
+
+    /// Parks the `n` oldest hot-tail entries in `worker`'s deque by id
+    /// and recycles their decoded states. Like a requeue, parking moves
+    /// `pending` obligations without changing them, so snapshots and
+    /// resume see parked work exactly as queued work.
+    fn park_hot(
+        &self,
+        worker: usize,
+        hot: &mut VecDeque<(u64, M::State)>,
+        pool: &mut Vec<M::State>,
+        n: usize,
+    ) {
+        let mut q = lock_clean(&self.frontiers[worker]);
+        for (id, s) in hot.drain(..n) {
+            q.push_back(id);
+            recycle(pool, s);
+        }
         let len = q.len();
         drop(q);
         self.peak_frontier.fetch_max(len, Ordering::Relaxed);
@@ -1308,9 +1338,9 @@ impl<'a, M: Machine> Engine<'a, M> {
         // The newest admissions, kept decoded (newest at the back):
         // expanding them LIFO — exactly what pop_local would return —
         // skips the codec round-trip on the whole depth-first spine.
-        // Bounded: overflow parks the *oldest* entry by id, keeping
-        // worker memory at HOT_CAP states while stealers still see
-        // parked work.
+        // Only the deque is visible to stealers. Overflow parks the
+        // *oldest* entry there by id, keeping worker memory at HOT_CAP
+        // states, and an idle peer gets the older half (see below).
         let mut hot: VecDeque<(u64, M::State)> = VecDeque::new();
         // Retired successor states, recycled through
         // `Machine::successors_into` so steady-state expansion reuses
@@ -1322,16 +1352,27 @@ impl<'a, M: Machine> Engine<'a, M> {
         let mut tel = ProbeTelemetry::default();
         let mut until_deadline_check = DEADLINE_CHECK_EVERY;
         let mut until_progress_check = PROGRESS_CHECK_EVERY;
+        // Whether this worker is counted in `self.idle`.
+        let mut idle = false;
         loop {
             // Park the hot tail before stopping or entering a
             // rendezvous: snapshots must see it in the frontier, and a
             // coordinator must not wait on a worker that never reaches
             // the safepoint because its hot tail keeps refilling.
             if !hot.is_empty() && (self.stop.load(Ordering::Relaxed) || self.ckpt_pending()) {
-                while let Some((id, s)) = hot.pop_front() {
-                    self.push_id(worker, id);
-                    recycle(&mut pool, s);
-                }
+                let all = hot.len();
+                self.park_hot(worker, &mut hot, &mut pool, all);
+            } else if hot.len() > 1
+                && self.idle.load(Ordering::Relaxed) > 0
+                && lock_clean(&self.frontiers[worker]).is_empty()
+            {
+                // A peer is out of work and nothing here is stealable:
+                // park the older, shallower half of the hot tail for it.
+                // A lone worker with no work has nothing pending and
+                // retires instead of idling, so 1-worker runs never
+                // get here.
+                let half = hot.len() / 2;
+                self.park_hot(worker, &mut hot, &mut pool, half);
             }
             if hot.is_empty() {
                 self.ckpt_safepoint(worker, &out, &mut tel);
@@ -1351,6 +1392,10 @@ impl<'a, M: Machine> Engine<'a, M> {
                         if self.pending.load(Ordering::SeqCst) == 0 {
                             break; // No queued work, no peer mid-expansion: done.
                         }
+                        if !idle {
+                            idle = true;
+                            self.idle.fetch_add(1, Ordering::Relaxed);
+                        }
                         // Keep samples flowing while idling on a peer's
                         // in-flight expansion (the due-time gate makes
                         // this a clock read, not a publish storm).
@@ -1363,6 +1408,10 @@ impl<'a, M: Machine> Engine<'a, M> {
                     }
                 },
             };
+            if idle {
+                idle = false;
+                self.idle.fetch_sub(1, Ordering::Relaxed);
+            }
             if self.progress.is_some() {
                 until_progress_check -= 1;
                 if until_progress_check == 0 {
@@ -1420,11 +1469,13 @@ impl<'a, M: Machine> Engine<'a, M> {
                 }
             }
         }
+        if idle {
+            self.idle.fetch_sub(1, Ordering::Relaxed);
+        }
         // Any hot tail survives the break paths above; park it so peers
         // (or the final snapshot) pick it up.
-        while let Some((id, _)) = hot.pop_front() {
-            self.push_id(worker, id);
-        }
+        let all = hot.len();
+        self.park_hot(worker, &mut hot, &mut pool, all);
         // Retire: publish final results *before* leaving the active
         // set, so a coordinator that stops waiting for us still sees
         // everything we found.
@@ -1503,9 +1554,7 @@ impl<'a, M: Machine> Engine<'a, M> {
                     // next); overflow parks the oldest entry by id.
                     hot.push_back((id, next));
                     if hot.len() > HOT_CAP {
-                        let (old, s) = hot.pop_front().expect("over capacity");
-                        self.push_id(worker, old);
-                        recycle(pool, s);
+                        self.park_hot(worker, hot, pool, 1);
                     }
                 }
                 Admit::Seen(_) => recycle(pool, next),

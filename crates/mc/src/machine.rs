@@ -278,32 +278,33 @@ pub trait Machine: Sync {
     fn initial(&self, prog: &Program) -> Self::State;
 
     /// Appends every enabled transition from `state` to `out` (cleared
-    /// by the caller). An empty set on a non-final state is a deadlock.
-    fn successors(&self, prog: &Program, state: &Self::State, out: &mut Vec<(Label, Self::State)>);
-
-    /// [`Machine::successors`] with a recycling pool of states the
-    /// caller no longer needs. Implementations draw scratch states from
-    /// `pool` (see [`pooled_clone`]) — overwriting them in place reuses
-    /// their heap allocations, turning each successor clone into a
-    /// field copy — and return abandoned scratch states to it.
+    /// by the caller), drawing scratch states from `pool`. An empty set
+    /// on a non-final state is a deadlock.
     ///
-    /// This only pays off for callers that *discard* most successor
-    /// states: the lock-free explorer keeps admitted states encoded (a
-    /// flat byte block), so every decoded successor it is handed flows
-    /// back into the pool and the per-arc allocation chain disappears.
-    /// Engines that retain owned states (the sleep-set engine, the
-    /// sequential reference) cannot recycle and use plain
-    /// [`Machine::successors`]. The default ignores the pool; machines
-    /// on the benchmark path override it.
+    /// Implementations take every successor from `pool` via
+    /// [`pooled_clone`] — overwriting a recycled state in place reuses
+    /// its heap allocations, turning each successor clone into a field
+    /// copy — and push every scratch state they abandon (a disabled
+    /// transition) back. `pool` may hold states of any shape, from any
+    /// program: a successor must not depend on what it was cloned over.
+    ///
+    /// This pays off for callers that *discard* most successor states:
+    /// the parallel explorer keeps admitted states encoded (a flat byte
+    /// block), so every decoded successor it is handed flows back into
+    /// the pool and the per-arc allocation chain disappears. Engines
+    /// that retain owned states call [`Machine::successors`].
     fn successors_into(
         &self,
         prog: &Program,
         state: &Self::State,
         out: &mut Vec<(Label, Self::State)>,
         pool: &mut Vec<Self::State>,
-    ) {
-        let _ = pool;
-        self.successors(prog, state, out);
+    );
+
+    /// [`Machine::successors_into`] with an empty pool: every successor
+    /// is a fresh clone.
+    fn successors(&self, prog: &Program, state: &Self::State, out: &mut Vec<(Label, Self::State)>) {
+        self.successors_into(prog, state, out, &mut Vec::new());
     }
 
     /// Returns the observable outcome if `state` is terminal: all
@@ -328,8 +329,9 @@ pub trait Machine: Sync {
 /// Pops a recycled state from `pool` and overwrites it with `src` via
 /// `clone_from` — reusing its heap allocations — or clones fresh when
 /// the pool is dry. The workhorse of [`Machine::successors_into`]:
-/// states whose `clone_from` reuses nested buffers (hand-written on the
-/// benchmark machines) make this allocation-free in steady state.
+/// every machine state has a hand-written `clone_from` that reuses its
+/// nested buffers (the derived one clones fresh), which makes this
+/// allocation-free in steady state.
 pub fn pooled_clone<S: Clone>(pool: &mut Vec<S>, src: &S) -> S {
     match pool.pop() {
         Some(mut s) => {
@@ -375,12 +377,17 @@ pub fn advance_skipping_delays_and_fences(
 }
 
 /// Builds an [`Outcome`] from halted thread states and a final-memory
-/// snapshot. Returns `None` unless every thread has halted.
-pub fn outcome_if_halted(threads: &[ThreadState], memory: Vec<Value>) -> Option<Outcome> {
-    threads
-        .iter()
-        .all(ThreadState::is_halted)
-        .then(|| Outcome { regs: threads.iter().map(ThreadState::regs).collect(), memory })
+/// snapshot. Returns `None` unless every thread has halted, without
+/// calling `memory`: explorers ask every state they expand, so a
+/// non-terminal state must cost no allocation.
+pub fn outcome_if_halted(
+    threads: &[ThreadState],
+    memory: impl FnOnce() -> Vec<Value>,
+) -> Option<Outcome> {
+    threads.iter().all(ThreadState::is_halted).then(|| Outcome {
+        regs: threads.iter().map(ThreadState::regs).collect(),
+        memory: memory(),
+    })
 }
 
 #[cfg(test)]
@@ -449,7 +456,7 @@ mod tests {
         let mut halted = ThreadState::new();
         assert_eq!(halted.advance(&thread), ThreadEvent::Halted);
         let running = ThreadState::new();
-        assert!(outcome_if_halted(&[halted.clone()], vec![]).is_some());
-        assert!(outcome_if_halted(&[halted, running], vec![]).is_none());
+        assert!(outcome_if_halted(&[halted.clone()], Vec::new).is_some());
+        assert!(outcome_if_halted(&[halted, running], || unreachable!("not terminal")).is_none());
     }
 }

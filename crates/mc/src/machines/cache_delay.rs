@@ -7,13 +7,10 @@
 use weakord_core::ProcId;
 
 use crate::checkpoint::{Codec, DecodeError, Reader};
-use weakord_progs::{Access, Outcome, Program, ThreadEvent, ThreadState};
+use weakord_progs::{Outcome, Program, ThreadState};
 
-use crate::machine::{
-    advance_skipping_delays_and_fences, outcome_if_halted, DeliveryClass, InternalStep, Label,
-    Machine, OpRecord, ReductionClass, SyncGate,
-};
-use crate::machines::substrate::CacheState;
+use crate::machine::{DeliveryClass, Label, Machine, ReductionClass, SyncGate};
+use crate::machines::substrate::{self, CacheState, SubstrateState, SyncRule};
 
 /// The cache-coherent relaxed machine with no synchronization support:
 /// writes commit locally and invalidate lazily; reads hit the local
@@ -25,12 +22,35 @@ use crate::machines::substrate::CacheState;
 pub struct CacheDelayMachine;
 
 /// State of [`CacheDelayMachine`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct CdState {
     /// Architectural thread states.
     pub threads: Vec<ThreadState>,
     /// The cache ensemble.
     pub cache: CacheState,
+}
+
+/// Hand-written so `clone_from` reuses every nested buffer (the derived
+/// impl's `clone_from` falls back to a fresh clone), making
+/// [`Machine::successors_into`]'s state recycling allocation-free.
+impl Clone for CdState {
+    fn clone(&self) -> Self {
+        CdState { threads: self.threads.clone(), cache: self.cache.clone() }
+    }
+    fn clone_from(&mut self, src: &Self) {
+        self.threads.clone_from(&src.threads);
+        self.cache.clone_from(&src.cache);
+    }
+}
+
+impl SubstrateState for CdState {
+    fn parts(&self) -> (&[ThreadState], &CacheState) {
+        (&self.threads, &self.cache)
+    }
+    fn parts_mut(&mut self) -> (&mut [ThreadState], &mut CacheState, &mut [Option<ProcId>]) {
+        // The oblivious rule never reserves a location.
+        (&mut self.threads, &mut self.cache, &mut [])
+    }
 }
 
 impl Machine for CacheDelayMachine {
@@ -47,70 +67,18 @@ impl Machine for CacheDelayMachine {
         }
     }
 
-    fn successors(&self, prog: &Program, state: &CdState, out: &mut Vec<(Label, CdState)>) {
-        for t in 0..state.threads.len() {
-            if state.threads[t].is_halted() {
-                continue;
-            }
-            let thread = &prog.threads[t];
-            let mut next = state.clone();
-            let ThreadEvent::Access(access) =
-                advance_skipping_delays_and_fences(&mut next.threads[t], thread)
-            else {
-                // The advance reached Halt: keep the halted thread state.
-                out.push((Label::Internal(InternalStep::halt(ProcId::new(t as u16))), next));
-                continue;
-            };
-            let proc = ProcId::new(t as u16);
-            let kind = access.op_kind();
-            let loc = access.loc();
-            match access {
-                Access::Read { .. } => {
-                    let v = next.cache.read_local(proc, loc);
-                    next.threads[t].complete(thread, Some(v));
-                    let rec =
-                        OpRecord { proc, kind, loc, read_value: Some(v), written_value: None };
-                    out.push((Label::Op(rec), next));
-                }
-                Access::Write { value, .. } => {
-                    next.cache.write_relaxed(proc, loc, value);
-                    next.threads[t].complete(thread, None);
-                    let rec =
-                        OpRecord { proc, kind, loc, read_value: None, written_value: Some(value) };
-                    out.push((Label::Op(rec), next));
-                }
-                Access::Rmw { op, .. } => {
-                    let old = next.cache.read_latest(loc);
-                    let new = op.apply(old);
-                    next.cache.write_atomic(loc, new);
-                    next.threads[t].complete(thread, Some(old));
-                    let rec = OpRecord {
-                        proc,
-                        kind,
-                        loc,
-                        read_value: Some(old),
-                        written_value: Some(new),
-                    };
-                    out.push((Label::Op(rec), next));
-                }
-            }
-        }
-        for i in 0..state.cache.pending_len() {
-            let inv = state.cache.pending()[i];
-            let mut next = state.clone();
-            next.cache.deliver(i);
-            let step = InternalStep::deliver(inv.source, inv.target, inv.loc);
-            out.push((Label::Internal(step), next));
-        }
+    fn successors_into(
+        &self,
+        prog: &Program,
+        state: &CdState,
+        out: &mut Vec<(Label, CdState)>,
+        pool: &mut Vec<CdState>,
+    ) {
+        substrate::successors_into(SyncRule::Oblivious, prog, state, out, pool);
     }
 
     fn outcome(&self, prog: &Program, state: &CdState) -> Option<Outcome> {
-        if state.cache.pending_len() > 0 {
-            return None;
-        }
-        let mem =
-            (0..prog.n_locs).map(|l| state.cache.read_latest(weakord_core::Loc::new(l))).collect();
-        outcome_if_halted(&state.threads, mem)
+        substrate::outcome(prog, state)
     }
 
     fn threads<'a>(&self, state: &'a CdState) -> &'a [ThreadState] {

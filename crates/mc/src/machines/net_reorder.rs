@@ -9,8 +9,8 @@ use crate::checkpoint::{Codec, DecodeError, Reader};
 use weakord_progs::{Access, Outcome, Program, ThreadEvent, ThreadState};
 
 use crate::machine::{
-    advance_skipping_delays_and_fences, outcome_if_halted, DeliveryClass, InternalStep, Label,
-    Machine, OpRecord, ReductionClass, SyncGate,
+    advance_skipping_delays_and_fences, outcome_if_halted, pooled_clone, DeliveryClass,
+    InternalStep, Label, Machine, OpRecord, ReductionClass, SyncGate,
 };
 
 /// In-order issue into an unordered network: writes travel as in-flight
@@ -24,7 +24,7 @@ use crate::machine::{
 pub struct NetReorderMachine;
 
 /// State of [`NetReorderMachine`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct NetState {
     /// Architectural thread states.
     pub threads: Vec<ThreadState>,
@@ -45,6 +45,24 @@ impl NetState {
     }
 }
 
+/// Hand-written so `clone_from` reuses the in-flight queues (the
+/// derived impl's `clone_from` falls back to a fresh clone), making
+/// [`Machine::successors_into`]'s state recycling allocation-free.
+impl Clone for NetState {
+    fn clone(&self) -> Self {
+        NetState {
+            threads: self.threads.clone(),
+            mem: self.mem.clone(),
+            in_flight: self.in_flight.clone(),
+        }
+    }
+    fn clone_from(&mut self, src: &Self) {
+        self.threads.clone_from(&src.threads);
+        self.mem.clone_from(&src.mem);
+        self.in_flight.clone_from(&src.in_flight);
+    }
+}
+
 impl Machine for NetReorderMachine {
     type State = NetState;
 
@@ -60,13 +78,19 @@ impl Machine for NetReorderMachine {
         }
     }
 
-    fn successors(&self, prog: &Program, state: &NetState, out: &mut Vec<(Label, NetState)>) {
+    fn successors_into(
+        &self,
+        prog: &Program,
+        state: &NetState,
+        out: &mut Vec<(Label, NetState)>,
+        pool: &mut Vec<NetState>,
+    ) {
         for t in 0..state.threads.len() {
             if state.threads[t].is_halted() {
                 continue;
             }
             let thread = &prog.threads[t];
-            let mut next = state.clone();
+            let mut next = pooled_clone(pool, state);
             let ThreadEvent::Access(access) =
                 advance_skipping_delays_and_fences(&mut next.threads[t], thread)
             else {
@@ -96,6 +120,7 @@ impl Machine for NetReorderMachine {
                     // The module executes the RMW atomically; it must see
                     // our earlier writes to this location first.
                     if next.has_own(t, loc) {
+                        pool.push(next);
                         continue;
                     }
                     let old = next.mem[loc.index()];
@@ -121,7 +146,7 @@ impl Machine for NetReorderMachine {
                 if state.in_flight[t][..i].iter().any(|(l, _)| *l == loc) {
                     continue; // an older write to the same module blocks this one
                 }
-                let mut next = state.clone();
+                let mut next = pooled_clone(pool, state);
                 next.in_flight[t].remove(i);
                 next.mem[loc.index()] = v;
                 out.push((Label::Internal(InternalStep::drain(ProcId::new(t as u16), loc)), next));
@@ -133,7 +158,7 @@ impl Machine for NetReorderMachine {
         if state.in_flight.iter().any(|q| !q.is_empty()) {
             return None;
         }
-        outcome_if_halted(&state.threads, state.mem.clone())
+        outcome_if_halted(&state.threads, || state.mem.clone())
     }
 
     fn threads<'a>(&self, state: &'a NetState) -> &'a [ThreadState] {

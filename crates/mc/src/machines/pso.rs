@@ -82,43 +82,7 @@ impl Machine for PsoMachine {
         }
     }
 
-    fn successors(&self, prog: &Program, state: &PsoState, out: &mut Vec<(Label, PsoState)>) {
-        self.succs(prog, state, out, &mut Vec::new());
-    }
-
     fn successors_into(
-        &self,
-        prog: &Program,
-        state: &PsoState,
-        out: &mut Vec<(Label, PsoState)>,
-        pool: &mut Vec<PsoState>,
-    ) {
-        self.succs(prog, state, out, pool);
-    }
-
-    fn outcome(&self, _prog: &Program, state: &PsoState) -> Option<Outcome> {
-        if !(0..state.buffers.len()).all(|t| state.buffers_empty(t)) {
-            return None;
-        }
-        outcome_if_halted(&state.threads, state.mem.clone())
-    }
-
-    fn threads<'a>(&self, state: &'a PsoState) -> &'a [ThreadState] {
-        &state.threads
-    }
-
-    fn reduction_class(&self) -> ReductionClass {
-        // Identical argument to TSO: all gating is on the issuer's own
-        // buffers; drains write the single shared memory.
-        ReductionClass { sync_gate: SyncGate::None, delivery: DeliveryClass::Memory }
-    }
-}
-
-impl PsoMachine {
-    /// The single successor body behind both trait entry points:
-    /// scratch states come from `pool` and every path that abandons one
-    /// puts it back.
-    fn succs(
         &self,
         prog: &Program,
         state: &PsoState,
@@ -219,6 +183,23 @@ impl PsoMachine {
                 out.push((Label::Internal(InternalStep::drain(ProcId::new(t as u16), loc)), next));
             }
         }
+    }
+
+    fn outcome(&self, _prog: &Program, state: &PsoState) -> Option<Outcome> {
+        if !(0..state.buffers.len()).all(|t| state.buffers_empty(t)) {
+            return None;
+        }
+        outcome_if_halted(&state.threads, || state.mem.clone())
+    }
+
+    fn threads<'a>(&self, state: &'a PsoState) -> &'a [ThreadState] {
+        &state.threads
+    }
+
+    fn reduction_class(&self) -> ReductionClass {
+        // Identical argument to TSO: all gating is on the issuer's own
+        // buffers; drains write the single shared memory.
+        ReductionClass { sync_gate: SyncGate::None, delivery: DeliveryClass::Memory }
     }
 }
 

@@ -90,10 +90,6 @@ impl Machine for ScMachine {
         }
     }
 
-    fn successors(&self, prog: &Program, state: &ScState, out: &mut Vec<(Label, ScState)>) {
-        self.successors_into(prog, state, out, &mut Vec::new());
-    }
-
     fn successors_into(
         &self,
         prog: &Program,
@@ -101,8 +97,6 @@ impl Machine for ScMachine {
         out: &mut Vec<(Label, ScState)>,
         pool: &mut Vec<ScState>,
     ) {
-        // Every scratch state is pushed (no abandon paths), so the two
-        // entry points share this body directly.
         for t in 0..state.threads.len() {
             if state.threads[t].is_halted() {
                 continue;
@@ -120,7 +114,7 @@ impl Machine for ScMachine {
     }
 
     fn outcome(&self, _prog: &Program, state: &ScState) -> Option<Outcome> {
-        outcome_if_halted(&state.threads, state.mem.clone())
+        outcome_if_halted(&state.threads, || state.mem.clone())
     }
 
     fn threads<'a>(&self, state: &'a ScState) -> &'a [ThreadState] {

@@ -81,44 +81,7 @@ impl Machine for TsoMachine {
         }
     }
 
-    fn successors(&self, prog: &Program, state: &TsoState, out: &mut Vec<(Label, TsoState)>) {
-        self.succs(prog, state, out, &mut Vec::new());
-    }
-
     fn successors_into(
-        &self,
-        prog: &Program,
-        state: &TsoState,
-        out: &mut Vec<(Label, TsoState)>,
-        pool: &mut Vec<TsoState>,
-    ) {
-        self.succs(prog, state, out, pool);
-    }
-
-    fn outcome(&self, _prog: &Program, state: &TsoState) -> Option<Outcome> {
-        if state.buffers.iter().any(|b| !b.is_empty()) {
-            return None;
-        }
-        outcome_if_halted(&state.threads, state.mem.clone())
-    }
-
-    fn threads<'a>(&self, state: &'a TsoState) -> &'a [ThreadState] {
-        &state.threads
-    }
-
-    fn reduction_class(&self) -> ReductionClass {
-        // Fences, sync accesses and RMWs gate only on the issuer's
-        // *own* buffer (a same-processor dependence); drains write the
-        // single shared memory.
-        ReductionClass { sync_gate: SyncGate::None, delivery: DeliveryClass::Memory }
-    }
-}
-
-impl TsoMachine {
-    /// The single successor body behind both trait entry points:
-    /// scratch states come from `pool` and every path that abandons one
-    /// puts it back.
-    fn succs(
         &self,
         prog: &Program,
         state: &TsoState,
@@ -212,6 +175,24 @@ impl TsoMachine {
             next.mem[loc.index()] = v;
             out.push((Label::Internal(InternalStep::drain(ProcId::new(t as u16), loc)), next));
         }
+    }
+
+    fn outcome(&self, _prog: &Program, state: &TsoState) -> Option<Outcome> {
+        if state.buffers.iter().any(|b| !b.is_empty()) {
+            return None;
+        }
+        outcome_if_halted(&state.threads, || state.mem.clone())
+    }
+
+    fn threads<'a>(&self, state: &'a TsoState) -> &'a [ThreadState] {
+        &state.threads
+    }
+
+    fn reduction_class(&self) -> ReductionClass {
+        // Fences, sync accesses and RMWs gate only on the issuer's
+        // *own* buffer (a same-processor dependence); drains write the
+        // single shared memory.
+        ReductionClass { sync_gate: SyncGate::None, delivery: DeliveryClass::Memory }
     }
 }
 

@@ -28,13 +28,10 @@
 use weakord_core::ProcId;
 
 use crate::checkpoint::{Codec, DecodeError, Reader};
-use weakord_progs::{Access, Outcome, Program, ThreadEvent, ThreadState};
+use weakord_progs::{Outcome, Program, ThreadState};
 
-use crate::machine::{
-    advance_skipping_delays_and_fences, outcome_if_halted, DeliveryClass, InternalStep, Label,
-    Machine, OpRecord, ReductionClass, SyncGate,
-};
-use crate::machines::substrate::CacheState;
+use crate::machine::{DeliveryClass, Label, Machine, ReductionClass, SyncGate};
+use crate::machines::substrate::{self, CacheState, SubstrateState, SyncRule};
 
 /// Definition 1 weak ordering (the old definition).
 #[derive(Debug, Clone, Copy, Default)]
@@ -51,7 +48,7 @@ pub struct WoDef2Machine {
 }
 
 /// Shared state of the weakly ordered machines.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct WoState {
     /// Architectural thread states.
     pub threads: Vec<ThreadState>,
@@ -63,120 +60,38 @@ pub struct WoState {
     pub last_sync: Vec<Option<ProcId>>,
 }
 
+/// Hand-written so `clone_from` reuses every nested buffer (the derived
+/// impl's `clone_from` falls back to a fresh clone), making
+/// [`Machine::successors_into`]'s state recycling allocation-free.
+impl Clone for WoState {
+    fn clone(&self) -> Self {
+        WoState {
+            threads: self.threads.clone(),
+            cache: self.cache.clone(),
+            last_sync: self.last_sync.clone(),
+        }
+    }
+    fn clone_from(&mut self, src: &Self) {
+        self.threads.clone_from(&src.threads);
+        self.cache.clone_from(&src.cache);
+        self.last_sync.clone_from(&src.last_sync);
+    }
+}
+
+impl SubstrateState for WoState {
+    fn parts(&self) -> (&[ThreadState], &CacheState) {
+        (&self.threads, &self.cache)
+    }
+    fn parts_mut(&mut self) -> (&mut [ThreadState], &mut CacheState, &mut [Option<ProcId>]) {
+        (&mut self.threads, &mut self.cache, &mut self.last_sync)
+    }
+}
+
 fn initial(prog: &Program) -> WoState {
     WoState {
         threads: weakord_progs::initial_threads(prog),
         cache: CacheState::new(prog.n_procs(), prog.n_locs as usize),
         last_sync: vec![None; prog.n_locs as usize],
-    }
-}
-
-fn outcome(prog: &Program, state: &WoState) -> Option<Outcome> {
-    if state.cache.pending_len() > 0 {
-        return None;
-    }
-    let mem =
-        (0..prog.n_locs).map(|l| state.cache.read_latest(weakord_core::Loc::new(l))).collect();
-    outcome_if_halted(&state.threads, mem)
-}
-
-/// How synchronization operations gate on outstanding accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SyncRule {
-    /// Stall the *issuer* until its own accesses are globally performed.
-    Def1,
-    /// Stall the *next synchronizer* on the reserving processor's
-    /// outstanding accesses; `refine_read_only` exempts `Test`s from
-    /// reserving.
-    Def2 { refine_read_only: bool },
-    /// Stall the synchronizer until *no* access by *any* processor is
-    /// outstanding (the BNR timestamp scheme).
-    GlobalDrain,
-}
-
-fn successors(rule: SyncRule, prog: &Program, state: &WoState, out: &mut Vec<(Label, WoState)>) {
-    for t in 0..state.threads.len() {
-        if state.threads[t].is_halted() {
-            continue;
-        }
-        let thread = &prog.threads[t];
-        let mut next = state.clone();
-        let ThreadEvent::Access(access) =
-            advance_skipping_delays_and_fences(&mut next.threads[t], thread)
-        else {
-            // The advance reached Halt: keep the halted thread state.
-            out.push((Label::Internal(InternalStep::halt(ProcId::new(t as u16))), next));
-            continue;
-        };
-        let proc = ProcId::new(t as u16);
-        let kind = access.op_kind();
-        let loc = access.loc();
-        if access.is_sync() {
-            // Gate the synchronization operation.
-            let enabled = match rule {
-                SyncRule::Def1 => !next.cache.source_pending(proc),
-                SyncRule::Def2 { .. } => match next.last_sync[loc.index()] {
-                    Some(owner) if owner != proc => !next.cache.source_pending(owner),
-                    _ => true,
-                },
-                SyncRule::GlobalDrain => next.cache.pending_len() == 0,
-            };
-            if !enabled {
-                continue;
-            }
-            let reserves = match rule {
-                SyncRule::Def1 | SyncRule::GlobalDrain => false,
-                SyncRule::Def2 { refine_read_only } => {
-                    !(refine_read_only && matches!(access, Access::Read { .. }))
-                }
-            };
-            let record = match access {
-                Access::Read { .. } => {
-                    let v = next.cache.read_latest(loc);
-                    next.threads[t].complete(thread, Some(v));
-                    OpRecord { proc, kind, loc, read_value: Some(v), written_value: None }
-                }
-                Access::Write { value, .. } => {
-                    next.cache.write_atomic(loc, value);
-                    next.threads[t].complete(thread, None);
-                    OpRecord { proc, kind, loc, read_value: None, written_value: Some(value) }
-                }
-                Access::Rmw { op, .. } => {
-                    let old = next.cache.read_latest(loc);
-                    let new = op.apply(old);
-                    next.cache.write_atomic(loc, new);
-                    next.threads[t].complete(thread, Some(old));
-                    OpRecord { proc, kind, loc, read_value: Some(old), written_value: Some(new) }
-                }
-            };
-            if reserves {
-                next.last_sync[loc.index()] = Some(proc);
-            }
-            out.push((Label::Op(record), next));
-        } else {
-            // Data accesses: identical to the relaxed cache machine.
-            let record = match access {
-                Access::Read { .. } => {
-                    let v = next.cache.read_local(proc, loc);
-                    next.threads[t].complete(thread, Some(v));
-                    OpRecord { proc, kind, loc, read_value: Some(v), written_value: None }
-                }
-                Access::Write { value, .. } => {
-                    next.cache.write_relaxed(proc, loc, value);
-                    next.threads[t].complete(thread, None);
-                    OpRecord { proc, kind, loc, read_value: None, written_value: Some(value) }
-                }
-                Access::Rmw { .. } => unreachable!("RMW accesses are always synchronization"),
-            };
-            out.push((Label::Op(record), next));
-        }
-    }
-    for i in 0..state.cache.pending_len() {
-        let inv = state.cache.pending()[i];
-        let mut next = state.clone();
-        next.cache.deliver(i);
-        let step = InternalStep::deliver(inv.source, inv.target, inv.loc);
-        out.push((Label::Internal(step), next));
     }
 }
 
@@ -191,12 +106,18 @@ impl Machine for WoDef1Machine {
         initial(prog)
     }
 
-    fn successors(&self, prog: &Program, state: &WoState, out: &mut Vec<(Label, WoState)>) {
-        successors(SyncRule::Def1, prog, state, out);
+    fn successors_into(
+        &self,
+        prog: &Program,
+        state: &WoState,
+        out: &mut Vec<(Label, WoState)>,
+        pool: &mut Vec<WoState>,
+    ) {
+        substrate::successors_into(SyncRule::Def1, prog, state, out, pool);
     }
 
     fn outcome(&self, prog: &Program, state: &WoState) -> Option<Outcome> {
-        outcome(prog, state)
+        substrate::outcome(prog, state)
     }
 
     fn threads<'a>(&self, state: &'a WoState) -> &'a [ThreadState] {
@@ -229,12 +150,24 @@ impl Machine for WoDef2Machine {
         initial(prog)
     }
 
-    fn successors(&self, prog: &Program, state: &WoState, out: &mut Vec<(Label, WoState)>) {
-        successors(SyncRule::Def2 { refine_read_only: self.drf1_refined }, prog, state, out);
+    fn successors_into(
+        &self,
+        prog: &Program,
+        state: &WoState,
+        out: &mut Vec<(Label, WoState)>,
+        pool: &mut Vec<WoState>,
+    ) {
+        substrate::successors_into(
+            SyncRule::Def2 { refine_read_only: self.drf1_refined },
+            prog,
+            state,
+            out,
+            pool,
+        );
     }
 
     fn outcome(&self, prog: &Program, state: &WoState) -> Option<Outcome> {
-        outcome(prog, state)
+        substrate::outcome(prog, state)
     }
 
     fn threads<'a>(&self, state: &'a WoState) -> &'a [ThreadState] {
@@ -353,12 +286,18 @@ impl Machine for BnrMachine {
         initial(prog)
     }
 
-    fn successors(&self, prog: &Program, state: &WoState, out: &mut Vec<(Label, WoState)>) {
-        successors(SyncRule::GlobalDrain, prog, state, out);
+    fn successors_into(
+        &self,
+        prog: &Program,
+        state: &WoState,
+        out: &mut Vec<(Label, WoState)>,
+        pool: &mut Vec<WoState>,
+    ) {
+        substrate::successors_into(SyncRule::GlobalDrain, prog, state, out, pool);
     }
 
     fn outcome(&self, prog: &Program, state: &WoState) -> Option<Outcome> {
-        outcome(prog, state)
+        substrate::outcome(prog, state)
     }
 
     fn threads<'a>(&self, state: &'a WoState) -> &'a [ThreadState] {

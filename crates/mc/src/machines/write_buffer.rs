@@ -13,8 +13,8 @@ use crate::checkpoint::{Codec, DecodeError, Reader};
 use weakord_progs::{Access, Outcome, Program, ThreadEvent, ThreadState};
 
 use crate::machine::{
-    advance_skipping_delays, outcome_if_halted, DeliveryClass, InternalStep, Label, Machine,
-    OpRecord, ReductionClass, SyncGate,
+    advance_skipping_delays, outcome_if_halted, pooled_clone, DeliveryClass, InternalStep, Label,
+    Machine, OpRecord, ReductionClass, SyncGate,
 };
 
 /// A TSO-style machine: writes enter a per-processor FIFO buffer and
@@ -27,7 +27,7 @@ use crate::machine::{
 pub struct WriteBufferMachine;
 
 /// State of [`WriteBufferMachine`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct WbState {
     /// Architectural thread states.
     pub threads: Vec<ThreadState>,
@@ -40,6 +40,24 @@ pub struct WbState {
 impl WbState {
     fn forwarded(&self, t: usize, loc: Loc) -> Option<Value> {
         self.buffers[t].iter().rev().find(|(l, _)| *l == loc).map(|(_, v)| *v)
+    }
+}
+
+/// Hand-written so `clone_from` reuses the buffer allocations (the
+/// derived impl's `clone_from` falls back to a fresh clone), making
+/// [`Machine::successors_into`]'s state recycling allocation-free.
+impl Clone for WbState {
+    fn clone(&self) -> Self {
+        WbState {
+            threads: self.threads.clone(),
+            mem: self.mem.clone(),
+            buffers: self.buffers.clone(),
+        }
+    }
+    fn clone_from(&mut self, src: &Self) {
+        self.threads.clone_from(&src.threads);
+        self.mem.clone_from(&src.mem);
+        self.buffers.clone_from(&src.buffers);
     }
 }
 
@@ -58,14 +76,20 @@ impl Machine for WriteBufferMachine {
         }
     }
 
-    fn successors(&self, prog: &Program, state: &WbState, out: &mut Vec<(Label, WbState)>) {
+    fn successors_into(
+        &self,
+        prog: &Program,
+        state: &WbState,
+        out: &mut Vec<(Label, WbState)>,
+        pool: &mut Vec<WbState>,
+    ) {
         // Thread transitions.
         for t in 0..state.threads.len() {
             if state.threads[t].is_halted() {
                 continue;
             }
             let thread = &prog.threads[t];
-            let mut next = state.clone();
+            let mut next = pooled_clone(pool, state);
             let access = match advance_skipping_delays(&mut next.threads[t], thread) {
                 ThreadEvent::Access(access) => access,
                 ThreadEvent::Fence => {
@@ -75,6 +99,7 @@ impl Machine for WriteBufferMachine {
                     // explicit fence — it is the one ordering primitive
                     // Figure 1's configurations were assumed to lack.)
                     if !next.buffers[t].is_empty() {
+                        pool.push(next);
                         continue;
                     }
                     next.threads[t].complete(thread, None);
@@ -109,6 +134,7 @@ impl Machine for WriteBufferMachine {
                     // Atomic only with an empty buffer (the bus is locked
                     // for the duration; pending writes drain first).
                     if !next.buffers[t].is_empty() {
+                        pool.push(next);
                         continue;
                     }
                     let old = next.mem[loc.index()];
@@ -131,7 +157,7 @@ impl Machine for WriteBufferMachine {
             if state.buffers[t].is_empty() {
                 continue;
             }
-            let mut next = state.clone();
+            let mut next = pooled_clone(pool, state);
             let (loc, v) = next.buffers[t].pop_front().expect("non-empty");
             next.mem[loc.index()] = v;
             out.push((Label::Internal(InternalStep::drain(ProcId::new(t as u16), loc)), next));
@@ -142,7 +168,7 @@ impl Machine for WriteBufferMachine {
         if state.buffers.iter().any(|b| !b.is_empty()) {
             return None;
         }
-        outcome_if_halted(&state.threads, state.mem.clone())
+        outcome_if_halted(&state.threads, || state.mem.clone())
     }
 
     fn threads<'a>(&self, state: &'a WbState) -> &'a [ThreadState] {

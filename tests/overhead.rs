@@ -21,11 +21,11 @@ use std::cell::Cell;
 use std::sync::Mutex;
 
 use weakord::coherence::{CoherentMachine, Config, Policy};
-use weakord::mc::machines::WoDef1Machine;
-use weakord::mc::{explore, run, Limits, Opts, ProgressSink};
+use weakord::mc::machines::{BnrMachine, WoDef1Machine, NAMES};
+use weakord::mc::{explore, run, with_machine, Limits, Machine, Opts, ProgressSink};
 use weakord::obs::MemTracer;
 use weakord::progs::workloads::{fig3_scenario, ticket_lock, Fig3Params, SpinlockParams};
-use weakord::progs::{litmus, Program};
+use weakord::progs::{litmus, Program, ThreadBuilder};
 
 struct CountingAlloc;
 
@@ -117,21 +117,22 @@ fn run_recording(prog: &Program, cfg: Config) -> (u64, usize) {
     (n, tracer.into_events().len())
 }
 
-/// Allocations of one single-threaded exploration (`threads: 1` runs
-/// in place, so the per-thread counter sees every engine allocation).
-fn explore_allocs(prog: &Program, sink: Option<&ProgressSink>) -> u64 {
+/// Allocations and admitted states of one single-threaded exploration
+/// (`threads: 1` runs in place, so the per-thread counter sees every
+/// engine allocation).
+fn explore_allocs<M: Machine>(m: &M, prog: &Program, sink: Option<&ProgressSink>) -> (u64, usize) {
     (0..SAMPLES)
         .map(|_| {
             let limits = Limits { threads: 1, ..Limits::default() };
             let (n, ex) = allocs_during(|| match sink {
                 Some(s) => {
                     let opts = Opts { progress: Some(s), ..Opts::default() };
-                    run(&WoDef1Machine, prog, limits, &opts).expect("no checkpoint")
+                    run(m, prog, limits, &opts).expect("no checkpoint")
                 }
-                None => explore(&WoDef1Machine, prog, limits),
+                None => explore(m, prog, limits),
             });
-            assert!(ex.states > 0);
-            n
+            assert!(ex.states > 0 && !ex.truncated());
+            (n, ex.states)
         })
         .min()
         .unwrap()
@@ -147,15 +148,15 @@ fn explore_allocs(prog: &Program, sink: Option<&ProgressSink>) -> u64 {
 fn progress_sampling_allocates_nothing_extra() {
     let prog = litmus::all().into_iter().find(|l| l.name == "iriw").unwrap().program;
     // Warm-up, then a determinism guard on the baseline itself.
-    explore_allocs(&prog, None);
-    let baseline_a = explore_allocs(&prog, None);
-    let baseline_b = explore_allocs(&prog, None);
+    explore_allocs(&WoDef1Machine, &prog, None);
+    let baseline_a = explore_allocs(&WoDef1Machine, &prog, None);
+    let baseline_b = explore_allocs(&WoDef1Machine, &prog, None);
     assert_eq!(
         baseline_a, baseline_b,
         "single-threaded exploration should allocate deterministically"
     );
     let sink = ProgressSink::with_interval(std::time::Duration::ZERO);
-    let attached = explore_allocs(&prog, Some(&sink));
+    let attached = explore_allocs(&WoDef1Machine, &prog, Some(&sink));
     assert_eq!(
         attached, baseline_a,
         "an attached progress sink must not allocate: publishing is atomic stores only"
@@ -163,6 +164,38 @@ fn progress_sampling_allocates_nothing_extra() {
     let last = sink.sample();
     assert!(last.seq > 0, "the sink did publish (the equality above is not vacuous)");
     assert!(last.states > 0);
+}
+
+/// The explorer's per-state allocation budget. Every machine draws its
+/// successor states from the engine's recycling pool, and the engine
+/// keeps admitted states encoded, so a 1-worker run allocates about once
+/// per admitted state (the encoded payload) and nothing per arc. A
+/// machine that falls off the pooled path — a derived `clone_from`, a
+/// scratch `Vec` in a per-step helper — costs several blocks per state.
+#[test]
+fn explore_allocates_under_two_blocks_per_admitted_state() {
+    let trivial = {
+        let mut t = ThreadBuilder::new();
+        t.halt();
+        Program::new("halt", vec![t.finish()], 1).expect("trivial program")
+    };
+    let prog = litmus::iriw().program;
+    fn check<M: Machine>(m: &M, trivial: &Program, prog: &Program) {
+        explore_allocs(m, prog, None);
+        let (fixed, _) = explore_allocs(m, trivial, None);
+        let (allocs, states) = explore_allocs(m, prog, None);
+        let per_state = allocs.saturating_sub(fixed) as f64 / states as f64;
+        assert!(
+            per_state < 2.0,
+            "{}: {per_state:.2} allocations per admitted state \
+             ({allocs} over {states} states, {fixed} for a trivial run)",
+            m.name()
+        );
+    }
+    for &name in NAMES {
+        with_machine!(name, |m| check(&m, &trivial, &prog), other => unreachable!("{other}"));
+    }
+    check(&BnrMachine, &trivial, &prog);
 }
 
 #[test]

@@ -233,12 +233,18 @@ impl Machine for PanickyMachine {
         ScMachine.initial(prog)
     }
 
-    fn successors(&self, prog: &Program, state: &Self::State, out: &mut Vec<(Label, Self::State)>) {
+    fn successors_into(
+        &self,
+        prog: &Program,
+        state: &Self::State,
+        out: &mut Vec<(Label, Self::State)>,
+        pool: &mut Vec<Self::State>,
+    ) {
         let n = self.calls.fetch_add(1, Ordering::SeqCst);
         if n >= self.panic_from && (!self.one_shot || !self.fired.swap(true, Ordering::SeqCst)) {
             panic!("injected worker fault at expansion {n}");
         }
-        ScMachine.successors(prog, state, out);
+        ScMachine.successors_into(prog, state, out, pool);
     }
 
     fn outcome(&self, prog: &Program, state: &Self::State) -> Option<Outcome> {
