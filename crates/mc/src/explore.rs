@@ -101,8 +101,10 @@ pub enum Reduction {
     /// unchanged. Runs on the parallel engine.
     Ample,
     /// Ample sets plus sleep sets, which also prune redundant arcs
-    /// between the states the search keeps. Runs on the sequential
-    /// sleep-set engine ([`explore_seq`] treats it as `Ample`).
+    /// between the states the search keeps. Runs on the sleep-set
+    /// engine ([`explore_seq`] treats it as `Ample`), which is
+    /// sequential and keeps its visited map in RAM: it ignores
+    /// [`Limits::threads`] and [`Limits::memory_budget`].
     Sleep,
 }
 

@@ -1,33 +1,33 @@
 //! The operational machine models.
 //!
-//! | Machine | Paper artifact | Sync support |
-//! |---------|----------------|--------------|
-//! | [`ScMachine`] | Lamport's definition; the reference | n/a (everything atomic) |
-//! | [`WriteBufferMachine`] | Figure 1 configs 1 & 3 (bus, write buffers) | none |
-//! | [`TsoMachine`] | SPARC/x86 TSO (write buffer + fences/RMW as ordering points) | full |
-//! | [`PsoMachine`] | SPARC PSO (per-location buffers, STBAR) | full |
-//! | [`NetReorderMachine`] | Figure 1 config 2 (network, no caches) | none |
-//! | [`CacheDelayMachine`] | Figure 1 config 4 (caches + network) | none |
-//! | [`WoDef1Machine`] | Definition 1 (Dubois/Scheurich/Briggs) | issuer stalls |
-//! | [`BnrMachine`] | BNR'89 timestamp scheme (Section 2.2) | global drain |
-//! | [`WoDef2Machine`] | Section 5 implementation (Definition 2 w.r.t. DRF0) | next synchronizer stalls |
+//! | Machine | Paper artifact | Sync support | Module |
+//! |---------|----------------|--------------|--------|
+//! | [`ScMachine`] | Lamport's definition; the reference | n/a (everything atomic) | `sc` |
+//! | [`WriteBufferMachine`] | Figure 1 configs 1 & 3 (bus, write buffers) | none (fences wait) | `store_buffer` |
+//! | [`TsoMachine`] | SPARC/x86 TSO (write buffer + fences/RMW as ordering points) | full | `store_buffer` |
+//! | [`PsoMachine`] | SPARC PSO (per-location buffers, STBAR) | full | `store_buffer` |
+//! | [`NetReorderMachine`] | Figure 1 config 2 (network, no caches) | none (fences skipped) | `store_buffer` |
+//! | [`CacheDelayMachine`] | Figure 1 config 4 (caches + network) | none | `cache_delay` |
+//! | [`WoDef1Machine`] | Definition 1 (Dubois/Scheurich/Briggs) | issuer stalls | `wo` |
+//! | [`BnrMachine`] | BNR'89 timestamp scheme (Section 2.2) | global drain | `wo` |
+//! | [`WoDef2Machine`] | Section 5 implementation (Definition 2 w.r.t. DRF0) | next synchronizer stalls | `wo` |
+//!
+//! The four `store_buffer` machines share one state type ([`SbState`])
+//! and one successor body: pending writes queue per processor in front
+//! of one atomic memory. The last four share the cache substrate
+//! ([`substrate`]): per-processor copies updated by invalidation
+//! messages, so their stores are not multi-copy atomic.
 
 mod cache_delay;
-mod net_reorder;
-mod pso;
 mod sc;
+mod store_buffer;
 pub mod substrate;
-mod tso;
 mod wo;
-mod write_buffer;
 
 pub use cache_delay::{CacheDelayMachine, CdState};
-pub use net_reorder::{NetReorderMachine, NetState};
-pub use pso::{PsoMachine, PsoState};
 pub use sc::{ScMachine, ScState};
-pub use tso::{TsoMachine, TsoState};
+pub use store_buffer::{NetReorderMachine, PsoMachine, SbState, TsoMachine, WriteBufferMachine};
 pub use wo::{BnrMachine, WoDef1Machine, WoDef2Machine, WoState};
-pub use write_buffer::{WbState, WriteBufferMachine};
 
 /// The machine names [`with_machine!`](crate::with_machine) resolves,
 /// in the order the CLI and the serve protocol list them.
@@ -97,10 +97,8 @@ macro_rules! with_machine {
 const _: () = {
     const fn state<T: Send + Sync + Clone + Eq + std::hash::Hash>() {}
     state::<ScState>();
-    state::<WbState>();
-    state::<TsoState>();
-    state::<PsoState>();
-    state::<NetState>();
+    state::<<TsoMachine as crate::Machine>::State>();
+    state::<<PsoMachine as crate::Machine>::State>();
     state::<CdState>();
     state::<WoState>();
 };

@@ -17,6 +17,8 @@
 //! when the state space exceeds `max_states`) and run-to-run
 //! determinism of the parallel engine.
 
+use std::collections::{HashSet, VecDeque};
+use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,10 +26,13 @@ use std::sync::Mutex;
 
 use weakord_core::Loc;
 use weakord_mc::machines::{
-    BnrMachine, CacheDelayMachine, NetReorderMachine, ScMachine, WoDef1Machine, WoDef2Machine,
-    WriteBufferMachine,
+    self, BnrMachine, CacheDelayMachine, NetReorderMachine, ScMachine, WoDef1Machine,
+    WoDef2Machine, WriteBufferMachine,
 };
-use weakord_mc::{explore, explore_seq, Exploration, Limits, Machine, Reduction, TruncationReason};
+use weakord_mc::{
+    explore, explore_seq, with_machine, Codec, Exploration, Limits, Machine, Reduction,
+    TruncationReason,
+};
 use weakord_progs::{gen, litmus, parse_program, Program, Reg, Thread, ThreadBuilder};
 
 /// Worker counts every differential pair is exercised at.
@@ -397,4 +402,177 @@ fn deadline_truncates_and_reports() {
     let ex: Exploration = explore(&ScMachine, &prog, limits);
     assert!(ex.truncated());
     assert_eq!(ex.stats.truncation, Some(TruncationReason::Deadline));
+}
+
+/// Continues an FNV-1a hash `h` over `bytes`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Walks `machine`'s full state graph for `prog` breadth-first in
+/// [`Machine::successors`] order and pins it as one table row: the
+/// state count, an FNV-1a digest over every reached state's codec bytes
+/// followed by its successor list (each label and successor's bytes, in
+/// order), and the Ample and Sleep reductions' state and pruned-arc
+/// counts.
+fn pinned_row<M: Machine>(machine: &M, prog: &Program) -> String {
+    let mut seen = HashSet::new();
+    let mut queue = VecDeque::new();
+    let (mut bytes, mut succ) = (Vec::new(), Vec::new());
+    let init = machine.initial(prog);
+    init.encode(&mut bytes);
+    seen.insert(bytes.clone());
+    queue.push_back(init);
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    while let Some(state) = queue.pop_front() {
+        bytes.clear();
+        state.encode(&mut bytes);
+        digest = fnv1a(digest, &bytes);
+        succ.clear();
+        machine.successors(prog, &state, &mut succ);
+        digest = fnv1a(digest, &(succ.len() as u64).to_le_bytes());
+        for (label, next) in succ.drain(..) {
+            digest = fnv1a(digest, format!("{label:?}").as_bytes());
+            bytes.clear();
+            next.encode(&mut bytes);
+            digest = fnv1a(digest, &bytes);
+            if seen.insert(bytes.clone()) {
+                queue.push_back(next);
+            }
+        }
+    }
+    let full = explore_seq(machine, prog, Limits::default());
+    assert_eq!(
+        full.states,
+        seen.len(),
+        "{} × {}: explorer and walk disagree",
+        machine.name(),
+        prog.name
+    );
+    let ample = explore_seq(machine, prog, Limits::reduced());
+    let sleep = explore(machine, prog, Limits::with_reduction(Reduction::Sleep));
+    format!(
+        "    ({:?}, {:?}, {}, {digest:#018x}, {}, {}, {}, {}),\n",
+        prog.name,
+        machine.name(),
+        seen.len(),
+        ample.states,
+        ample.stats.pruned_arcs,
+        sleep.states,
+        sleep.stats.pruned_arcs,
+    )
+}
+
+/// `(program, machine, states, graph digest, ample states, ample pruned
+/// arcs, sleep states, sleep pruned arcs)`.
+type PinnedGraph = (&'static str, &'static str, usize, u64, usize, u64, usize, u64);
+
+/// The pinned graph of every shipped litmus file on every registry
+/// machine plus `wo-bnr` and `wo-def2-drf1`.
+#[rustfmt::skip]
+const PINNED_GRAPHS: &[PinnedGraph] = &[
+    ("coherence-co", "sc", 45, 0xada24166ae4fb604, 31, 6, 31, 6),
+    ("coherence-co", "write-buffer", 75, 0x5a2701811c44d0e0, 49, 22, 49, 22),
+    ("coherence-co", "tso", 75, 0x5a2701811c44d0e0, 49, 22, 49, 22),
+    ("coherence-co", "pso", 75, 0xe6b7d2d02f5ca2b6, 49, 22, 49, 22),
+    ("coherence-co", "net-reorder", 75, 0x5a2701811c44d0e0, 49, 22, 49, 22),
+    ("coherence-co", "cache-delay", 93, 0x514c4ed56f2bba55, 56, 28, 56, 28),
+    ("coherence-co", "wo-def1", 93, 0x832c674403e06a53, 56, 28, 56, 28),
+    ("coherence-co", "wo-def2", 93, 0x832c674403e06a53, 56, 28, 56, 28),
+    ("coherence-co", "wo-bnr", 93, 0x832c674403e06a53, 56, 28, 56, 28),
+    ("coherence-co", "wo-def2-drf1", 93, 0x832c674403e06a53, 56, 28, 56, 28),
+    ("counter", "sc", 18, 0xf3cce5e56417974d, 14, 2, 14, 4),
+    ("counter", "write-buffer", 32, 0x2470bd2a9a2453e6, 23, 9, 23, 13),
+    ("counter", "tso", 24, 0xdd8fbbb7b0ecf335, 17, 3, 17, 7),
+    ("counter", "pso", 24, 0x51687d54e00efdd7, 17, 3, 17, 7),
+    ("counter", "net-reorder", 58, 0x244467bf0fa10ddb, 34, 14, 34, 18),
+    ("counter", "cache-delay", 92, 0x2026da0e6ab438fa, 31, 19, 31, 23),
+    ("counter", "wo-def1", 24, 0xaad64df5f89e6291, 17, 3, 17, 7),
+    ("counter", "wo-def2", 28, 0xc45be40608c7f339, 21, 5, 21, 8),
+    ("counter", "wo-bnr", 24, 0x4aaa0108df0fd7f5, 17, 3, 17, 4),
+    ("counter", "wo-def2-drf1", 28, 0xc45be40608c7f339, 21, 5, 21, 8),
+    ("dekker", "sc", 28, 0x113656270bdbf62a, 18, 4, 18, 5),
+    ("dekker", "write-buffer", 77, 0x5403ae1e8733a1bc, 55, 34, 53, 40),
+    ("dekker", "tso", 77, 0x5403ae1e8733a1bc, 55, 34, 53, 40),
+    ("dekker", "pso", 77, 0x95aaa3e8142dd8a1, 55, 34, 53, 40),
+    ("dekker", "net-reorder", 77, 0x5403ae1e8733a1bc, 55, 34, 53, 40),
+    ("dekker", "cache-delay", 77, 0x2d6316bf58e20c53, 52, 34, 50, 38),
+    ("dekker", "wo-def1", 77, 0xe4419007da94c081, 52, 34, 50, 38),
+    ("dekker", "wo-def2", 77, 0xe4419007da94c081, 52, 34, 50, 38),
+    ("dekker", "wo-bnr", 77, 0xe4419007da94c081, 52, 34, 50, 38),
+    ("dekker", "wo-def2-drf1", 77, 0xe4419007da94c081, 52, 34, 50, 38),
+    ("iriw", "sc", 652, 0xbc4580745828fb43, 169, 135, 139, 111),
+    ("iriw", "write-buffer", 1116, 0x312c01008d9cbce9, 278, 324, 218, 276),
+    ("iriw", "tso", 1116, 0x312c01008d9cbce9, 278, 324, 218, 276),
+    ("iriw", "pso", 1116, 0x1b880ba4622a4c1f, 278, 324, 218, 276),
+    ("iriw", "net-reorder", 1116, 0x312c01008d9cbce9, 278, 324, 218, 276),
+    ("iriw", "cache-delay", 13440, 0x106d5975199f26ad, 632, 1274, 518, 975),
+    ("iriw", "wo-def1", 13440, 0xf59f339dbbd0a7e5, 632, 1274, 518, 975),
+    ("iriw", "wo-def2", 13440, 0xf59f339dbbd0a7e5, 632, 1274, 518, 975),
+    ("iriw", "wo-bnr", 13440, 0xf59f339dbbd0a7e5, 632, 1274, 518, 975),
+    ("iriw", "wo-def2-drf1", 13440, 0xf59f339dbbd0a7e5, 632, 1274, 518, 975),
+    ("lock-handoff", "sc", 41, 0x620cf34363905583, 31, 4, 31, 10),
+    ("lock-handoff", "write-buffer", 81, 0x8c39f5e75bd1b27e, 51, 20, 51, 30),
+    ("lock-handoff", "tso", 49, 0xec88cabb009c0586, 37, 4, 37, 14),
+    ("lock-handoff", "pso", 49, 0xb0abfb759b627468, 37, 4, 37, 14),
+    ("lock-handoff", "net-reorder", 173, 0x521e16eb03fa7e35, 85, 38, 85, 48),
+    ("lock-handoff", "cache-delay", 325, 0xc43b58a70ac63be2, 70, 42, 70, 52),
+    ("lock-handoff", "wo-def1", 49, 0xbd9d2c725cf7971a, 37, 4, 37, 14),
+    ("lock-handoff", "wo-def2", 65, 0x44be01674f3f7651, 45, 10, 45, 14),
+    ("lock-handoff", "wo-bnr", 49, 0xaac9228b66806ec2, 37, 4, 37, 7),
+    ("lock-handoff", "wo-def2-drf1", 65, 0x44be01674f3f7651, 45, 10, 45, 14),
+    ("mp-handshake", "sc", 14, 0xa1d54d1774ded78f, 11, 2, 11, 3),
+    ("mp-handshake", "write-buffer", 24, 0x4c5c7f01e9d3100a, 19, 8, 19, 11),
+    ("mp-handshake", "tso", 16, 0xc6ecb416fac3f4e1, 13, 2, 13, 5),
+    ("mp-handshake", "pso", 16, 0x4089eaf194ff5617, 13, 2, 13, 5),
+    ("mp-handshake", "net-reorder", 38, 0x17b37fe4d515497f, 25, 11, 25, 14),
+    ("mp-handshake", "cache-delay", 38, 0x3f4aa28cc4e0cc59, 25, 11, 25, 14),
+    ("mp-handshake", "wo-def1", 16, 0x48f485c5cba8934d, 13, 2, 13, 5),
+    ("mp-handshake", "wo-def2", 20, 0x2a063b09dddb2821, 17, 4, 17, 6),
+    ("mp-handshake", "wo-bnr", 16, 0x074a309d9136399b, 13, 2, 13, 2),
+    ("mp-handshake", "wo-def2-drf1", 20, 0xcece1726a7824ec0, 17, 4, 17, 6),
+    ("nack-livelock", "sc", 100, 0x9d75927766a3e8b8, 73, 38, 73, 41),
+    ("nack-livelock", "write-buffer", 224, 0x499002017288b9a1, 135, 98, 131, 119),
+    ("nack-livelock", "tso", 108, 0xfdc41dc8349bdf93, 79, 38, 79, 51),
+    ("nack-livelock", "pso", 108, 0x0c8e59f738de47b3, 79, 38, 79, 51),
+    ("nack-livelock", "net-reorder", 462, 0xf49fd9874cad4041, 240, 230, 240, 288),
+    ("nack-livelock", "cache-delay", 10250, 0x28e2ebf9987fbbcc, 295, 561, 295, 584),
+    ("nack-livelock", "wo-def1", 124, 0xc8a639908f7836c5, 85, 54, 85, 67),
+    ("nack-livelock", "wo-def2", 216, 0x5570d619cf47573b, 108, 64, 108, 68),
+    ("nack-livelock", "wo-bnr", 124, 0x5715facb743687bf, 85, 44, 85, 44),
+    ("nack-livelock", "wo-def2-drf1", 216, 0x7fb0e78189e5700a, 108, 64, 108, 68),
+];
+
+/// Pins every machine's state graph byte for byte. The other tests here
+/// compare engines within one build; this one compares against values
+/// recorded by an earlier build, so it catches a change to a state's
+/// codec bytes (which would stop a checkpoint written by that build
+/// from resuming) or to a successor list's labels or order (which would
+/// change what the reductions prune).
+#[test]
+fn every_state_graph_matches_its_pinned_digest() {
+    let mut progs = litmus_files();
+    progs.sort_by(|a, b| a.name.cmp(&b.name));
+    let mut got = String::new();
+    for prog in &progs {
+        for name in machines::NAMES {
+            got += &with_machine!(*name, |m| pinned_row(&m, prog),
+                other => unreachable!("`{other}` is in NAMES"));
+        }
+        got += &pinned_row(&BnrMachine, prog);
+        got += &pinned_row(&WoDef2Machine { drf1_refined: true }, prog);
+    }
+    let mut want = String::new();
+    for (prog, machine, states, digest, ample, ample_pruned, sleep, sleep_pruned) in PINNED_GRAPHS {
+        writeln!(
+            want,
+            "    ({prog:?}, {machine:?}, {states}, {digest:#018x}, {ample}, {ample_pruned}, \
+             {sleep}, {sleep_pruned}),"
+        )
+        .unwrap();
+    }
+    assert!(got == want, "state graphs changed; the current table is:\n{got}");
 }

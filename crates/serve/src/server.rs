@@ -9,7 +9,8 @@
 //!                       unfinished job (the recovery work-list)
 //!   results/<id>.json   durable final result, timing-free, written
 //!                       atomically (tmp + rename)
-//!   ckpt/<id>/ckpt.bin  the job's exploration checkpoint while it is
+//!   ckpt/<id>/weakord.ckpt
+//!                       the job's exploration checkpoint while it is
 //!                       in flight
 //! ```
 //!

@@ -208,7 +208,8 @@ witness interleaving on `{}` for the forbidden outcome:",
 const EXPLORE_USAGE: &str = "usage: weakord explore <litmus-name|file.litmus> [opts]\n\
  \u{20}opts: --machine sc|write-buffer|tso|pso|net-reorder|cache-delay|wo-def1|wo-def2\n\
  \u{20}                               machine to explore (default wo-def2)\n\
- \u{20}      --reduce                 partial-order reduction (sequential sleep-set engine)\n\
+ \u{20}      --reduce                 partial-order reduction (sequential sleep-set engine;\n\
+ \u{20}                               takes neither --threads nor --memory-budget)\n\
  \u{20}      --threads N              worker threads (0 = all cores)\n\
  \u{20}      --max-states N           state cap\n\
  \u{20}      --memory-budget BYTES    visited-set RAM ceiling (K/M/G suffix ok);\n\
@@ -251,6 +252,15 @@ fn cmd_explore(rest: &[&str]) {
         let needs_dir = ["--resume", "--abort-after", "--checkpoint-every"];
         if let Some(f) = needs_dir.iter().find(|f| rest.contains(f)) {
             eprintln!("{f} needs --checkpoint <dir>\n{EXPLORE_USAGE}");
+            exit(2);
+        }
+    }
+    if rest.contains(&"--reduce") {
+        if let Some(f) = ["--threads", "--memory-budget"].iter().find(|f| rest.contains(f)) {
+            eprintln!(
+                "{f} does not apply to --reduce: the sleep-set engine is sequential and keeps \
+                 its visited map in RAM\n{EXPLORE_USAGE}"
+            );
             exit(2);
         }
     }
