@@ -162,7 +162,7 @@ fn paired_leg() -> PairedLeg {
                     let streamed = format!(
                         "{{\"op\":\"submit\",\"machine\":\"{machine}\",\"litmus\":\"{litmus}\",\"max_states\":{cap},\"stream\":true}}"
                     );
-                    let mut one = |client: &mut Client, line: &str, lats: &Mutex<Vec<u64>>| {
+                    let one = |client: &mut Client, line: &str, lats: &Mutex<Vec<u64>>| {
                         let t = Instant::now();
                         let reply = client.submit(line).expect("submit round-trips");
                         let us = t.elapsed().as_micros() as u64;

@@ -2,9 +2,8 @@
 //!
 //! Regenerates every figure of the paper (and the ablations DESIGN.md
 //! calls out) as printable tables. Each experiment lives in
-//! [`experiments`] as a function returning structured rows; the
-//! `figures` binary prints them, and the Criterion benches in
-//! `benches/` time the underlying computations.
+//! [`experiments`] as a function returning structured rows, and the
+//! `figures` binary prints them.
 //!
 //! The paper's evaluation is qualitative, so every experiment carries a
 //! *shape check*: the inequality or possibility pattern the paper

@@ -10,15 +10,10 @@
 //!   directory, drains every counter, and leaves all copies of each
 //!   line at the same, latest version.
 
-// Gated: compiling this suite needs the external `proptest` crate,
-// which hermetic builds cannot fetch. Enable with `--features proptest`
-// after restoring the dev-dependency (see DESIGN.md).
-#![cfg(feature = "proptest")]
-
-use proptest::prelude::*;
 use weakord_coherence::{CacheCtl, Dest, IssueOutcome, Msg, Notice, Policy};
 use weakord_core::{Loc, ProcId, Value};
 use weakord_progs::{Access, RmwOp};
+use weakord_sim::{check_cases, SimRng};
 
 const N_PROCS: usize = 3;
 const N_LOCS: u32 = 3;
@@ -32,15 +27,17 @@ enum Step {
     Deliver { index: usize },
 }
 
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (0..N_PROCS, 0..N_LOCS, 0u8..4).prop_map(|(proc, loc, kind)| Step::Issue {
-            proc,
-            loc,
-            kind
-        }),
-        (0usize..64).prop_map(|index| Step::Deliver { index }),
-    ]
+/// An issue or a delivery with equal odds.
+fn random_step(rng: &mut SimRng) -> Step {
+    if rng.chance(0.5) {
+        Step::Issue {
+            proc: rng.range(0..=N_PROCS as u64 - 1) as usize,
+            loc: rng.range(0..=u64::from(N_LOCS) - 1) as u32,
+            kind: rng.range(0..=3) as u8,
+        }
+    } else {
+        Step::Deliver { index: rng.range(0..=63) as usize }
+    }
 }
 
 struct Harness {
@@ -181,30 +178,66 @@ impl Harness {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
+/// Runs `steps` on a fresh harness under `policy`, checking the
+/// single-writer invariant after every step and again after the drain.
+fn run_schedule(steps: &[Step], policy: Policy) {
+    let mut h = Harness::new(policy);
+    for &step in steps {
+        match step {
+            Step::Issue { proc, loc, kind } => h.issue(proc, Loc::new(loc), kind),
+            Step::Deliver { index } => h.deliver(index),
+        }
+        h.assert_single_writer();
+    }
+    h.drain();
+    h.assert_single_writer();
+}
 
-    #[test]
-    fn protocol_invariants_hold_under_random_schedules(
-        steps in proptest::collection::vec(step_strategy(), 1..120),
-        policy_idx in 0u8..3,
-    ) {
+#[test]
+fn protocol_invariants_hold_under_random_schedules() {
+    check_cases("protocol_invariants_hold_under_random_schedules", 200, |rng| {
+        let steps: Vec<Step> = (0..rng.range(1..=119)).map(|_| random_step(rng)).collect();
         // Both legs of Section 5.1 for sync requests to reserved lines:
         // queueing (`def2`) and NACK/retry (`def2_nack`).
-        let policy = match policy_idx {
+        let policy = match rng.range(0..=2) {
             0 => Policy::Def1,
             1 => Policy::def2(),
             _ => Policy::def2_nack(),
         };
-        let mut h = Harness::new(policy);
-        for step in steps {
-            match step {
-                Step::Issue { proc, loc, kind } => h.issue(proc, Loc::new(loc), kind),
-                Step::Deliver { index } => h.deliver(index),
-            }
-            h.assert_single_writer();
-        }
-        h.drain();
-        h.assert_single_writer();
+        run_schedule(&steps, policy);
+    });
+}
+
+/// A recorded counterexample: a 21-step schedule that once failed
+/// under `Def2`, replayed under every policy the random schedules
+/// draw from.
+#[test]
+fn recorded_schedule_keeps_the_invariants_under_every_policy() {
+    use Step::{Deliver, Issue};
+    let steps = [
+        Issue { proc: 0, loc: 0, kind: 1 },
+        Issue { proc: 1, loc: 0, kind: 1 },
+        Deliver { index: 19 },
+        Deliver { index: 0 },
+        Deliver { index: 0 },
+        Deliver { index: 0 },
+        Deliver { index: 0 },
+        Deliver { index: 0 },
+        Issue { proc: 2, loc: 1, kind: 2 },
+        Deliver { index: 20 },
+        Issue { proc: 0, loc: 2, kind: 0 },
+        Issue { proc: 2, loc: 0, kind: 2 },
+        Deliver { index: 17 },
+        Issue { proc: 1, loc: 0, kind: 2 },
+        Issue { proc: 1, loc: 1, kind: 0 },
+        Deliver { index: 13 },
+        Issue { proc: 0, loc: 1, kind: 2 },
+        Deliver { index: 41 },
+        Deliver { index: 51 },
+        Deliver { index: 47 },
+        Issue { proc: 0, loc: 0, kind: 0 },
+    ];
+    for policy in [Policy::Def1, Policy::def2(), Policy::def2_nack()] {
+        run_schedule(&steps, policy);
     }
 }

@@ -2,18 +2,15 @@
 //! agree with the naive reference constructions, and the paper's
 //! theorems must hold on random executions.
 
-// Gated: compiling this suite needs the external `proptest` crate,
-// which hermetic builds cannot fetch. Enable with `--features proptest`
-// after restoring the dev-dependency (see DESIGN.md).
-#![cfg(feature = "proptest")]
-
-use proptest::prelude::*;
 use weakord_core::{
     check_appears_sc, check_drf_preaugmented, detect_races, hb_relation, ExecBuilder,
-    HappensBefore, HbMode, IdealizedExecution, Loc, MemOp, OpId, ProcId, Value,
+    HappensBefore, HbMode, IdealizedExecution, Loc, MemOp, OpId, ProcId, Relation, Value,
 };
+use weakord_sim::{check_cases, SimRng};
 
-/// One raw operation choice for the random-execution strategy.
+const CASES: u32 = 128;
+
+/// One raw operation choice for the random-execution generator.
 #[derive(Debug, Clone, Copy)]
 struct RawOp {
     proc: u16,
@@ -22,13 +19,18 @@ struct RawOp {
     value: u64,
 }
 
-fn raw_op(n_procs: u16, n_locs: u32) -> impl Strategy<Value = RawOp> {
-    (0..n_procs, 0u8..5, 0..n_locs, 1u64..4).prop_map(|(proc, kind, loc, value)| RawOp {
-        proc,
-        kind,
-        loc,
-        value,
-    })
+/// Fewer than `max_len` random operations over `n_procs` processors and
+/// `n_locs` locations (every bound exclusive).
+fn raw_ops(rng: &mut SimRng, n_procs: u16, n_locs: u32, max_len: u64) -> Vec<RawOp> {
+    let len = rng.range(0..=max_len - 1);
+    (0..len)
+        .map(|_| RawOp {
+            proc: rng.range(0..=u64::from(n_procs) - 1) as u16,
+            kind: rng.range(0..=4) as u8,
+            loc: rng.range(0..=u64::from(n_locs) - 1) as u32,
+            value: rng.range(1..=3),
+        })
+        .collect()
 }
 
 fn build_exec(n_procs: u16, raw: &[RawOp]) -> IdealizedExecution {
@@ -47,194 +49,206 @@ fn build_exec(n_procs: u16, raw: &[RawOp]) -> IdealizedExecution {
     b.finish().expect("random execution is well-formed")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The vector-clock happens-before agrees with the explicit
-    /// transitive closure of po ∪ so on every pair, in both modes.
-    #[test]
-    fn hb_vector_clocks_match_naive_closure(
-        raw in proptest::collection::vec(raw_op(3, 4), 0..24),
-    ) {
-        let exec = build_exec(3, &raw);
+/// The vector-clock happens-before agrees with the explicit
+/// transitive closure of po ∪ so on every pair, in both modes.
+#[test]
+fn hb_vector_clocks_match_naive_closure() {
+    check_cases("hb_vector_clocks_match_naive_closure", CASES, |rng| {
+        let exec = build_exec(3, &raw_ops(rng, 3, 4, 24));
         for mode in [HbMode::Drf0, HbMode::Drf1] {
             let hb = HappensBefore::compute(&exec, mode);
             let naive = hb_relation(&exec, mode);
             for a in 0..exec.len() as u32 {
                 for b in 0..exec.len() as u32 {
-                    prop_assert_eq!(
+                    assert_eq!(
                         hb.ordered(OpId::new(a), OpId::new(b)),
                         naive.contains(OpId::new(a), OpId::new(b)),
-                        "mode {:?} pair ({},{})", mode, a, b
+                        "mode {mode:?} pair ({a},{b})"
                     );
                 }
             }
         }
-    }
+    });
+}
 
-    /// The online detector and the pairwise Definition 3 checker agree
-    /// on whether an (augmented) execution is race-free.
-    #[test]
-    fn online_detector_agrees_with_pairwise_checker(
-        raw in proptest::collection::vec(raw_op(3, 4), 0..32),
-    ) {
-        let exec = build_exec(3, &raw).augment();
+/// The online detector and the pairwise Definition 3 checker agree
+/// on whether an (augmented) execution is race-free.
+#[test]
+fn online_detector_agrees_with_pairwise_checker() {
+    check_cases("online_detector_agrees_with_pairwise_checker", CASES, |rng| {
+        let exec = build_exec(3, &raw_ops(rng, 3, 4, 32)).augment();
         for mode in [HbMode::Drf0, HbMode::Drf1] {
             let pairwise = check_drf_preaugmented(&exec, mode).is_race_free();
             let online = detect_races(&exec, mode).is_empty();
-            prop_assert_eq!(pairwise, online, "mode {:?}", mode);
+            assert_eq!(pairwise, online, "mode {mode:?}");
         }
-    }
+    });
+}
 
-    /// Executions assembled by the builder satisfy atomic, in-order
-    /// memory semantics by construction.
-    #[test]
-    fn builder_fills_atomic_values(
-        raw in proptest::collection::vec(raw_op(4, 5), 0..40),
-    ) {
-        let exec = build_exec(4, &raw);
-        prop_assert!(exec.check_atomic_values().is_ok());
-    }
+/// Executions assembled by the builder satisfy atomic, in-order
+/// memory semantics by construction.
+#[test]
+fn builder_fills_atomic_values() {
+    check_cases("builder_fills_atomic_values", CASES, |rng| {
+        let exec = build_exec(4, &raw_ops(rng, 4, 5, 40));
+        assert!(exec.check_atomic_values().is_ok());
+    });
+}
 
-    /// Lemma 1, soundness direction: an atomic (idealized) execution of
-    /// a race-free history always appears sequentially consistent.
-    #[test]
-    fn race_free_atomic_executions_appear_sc(
-        raw in proptest::collection::vec(raw_op(3, 4), 0..28),
-    ) {
-        let exec = build_exec(3, &raw);
+/// Lemma 1, soundness direction: an atomic (idealized) execution of
+/// a race-free history always appears sequentially consistent.
+#[test]
+fn race_free_atomic_executions_appear_sc() {
+    check_cases("race_free_atomic_executions_appear_sc", CASES, |rng| {
+        let exec = build_exec(3, &raw_ops(rng, 3, 4, 28));
         if check_drf_preaugmented(&exec.augment(), HbMode::Drf0).is_race_free() {
-            prop_assert!(check_appears_sc(&exec, HbMode::Drf0).is_ok());
+            assert!(check_appears_sc(&exec, HbMode::Drf0).is_ok());
         }
-    }
+    });
+}
 
-    /// Augmentation is observation-preserving: the final memory is
-    /// unchanged and the augmented execution is still atomic-legal.
-    #[test]
-    fn augmentation_preserves_observations(
-        raw in proptest::collection::vec(raw_op(3, 4), 0..24),
-    ) {
-        let exec = build_exec(3, &raw);
+/// Augmentation is observation-preserving: the final memory is
+/// unchanged and the augmented execution is still atomic-legal.
+#[test]
+fn augmentation_preserves_observations() {
+    check_cases("augmentation_preserves_observations", CASES, |rng| {
+        let exec = build_exec(3, &raw_ops(rng, 3, 4, 24));
         let aug = exec.augment();
-        prop_assert_eq!(exec.final_memory(), aug.final_memory());
-        prop_assert!(aug.check_atomic_values().is_ok());
-        prop_assert_eq!(
-            weakord_core::ExecResult::of(&exec),
-            weakord_core::ExecResult::of(&aug)
-        );
-    }
+        assert_eq!(exec.final_memory(), aug.final_memory());
+        assert!(aug.check_atomic_values().is_ok());
+        assert_eq!(weakord_core::ExecResult::of(&exec), weakord_core::ExecResult::of(&aug));
+    });
+}
 
-    /// DRF1's happens-before is a subrelation of DRF0's: anything DRF1
-    /// orders, DRF0 orders too.
-    #[test]
-    fn drf1_hb_is_subrelation_of_drf0_hb(
-        raw in proptest::collection::vec(raw_op(3, 4), 0..24),
-    ) {
-        let exec = build_exec(3, &raw);
+/// DRF1's happens-before is a subrelation of DRF0's: anything DRF1
+/// orders, DRF0 orders too.
+#[test]
+fn drf1_hb_is_subrelation_of_drf0_hb() {
+    check_cases("drf1_hb_is_subrelation_of_drf0_hb", CASES, |rng| {
+        let exec = build_exec(3, &raw_ops(rng, 3, 4, 24));
         let hb0 = HappensBefore::compute(&exec, HbMode::Drf0);
         let hb1 = HappensBefore::compute(&exec, HbMode::Drf1);
         for a in 0..exec.len() as u32 {
             for b in 0..exec.len() as u32 {
                 if hb1.ordered(OpId::new(a), OpId::new(b)) {
-                    prop_assert!(hb0.ordered(OpId::new(a), OpId::new(b)));
+                    assert!(hb0.ordered(OpId::new(a), OpId::new(b)));
                 }
             }
         }
-    }
+    });
+}
 
-    /// Happens-before never orders against completion time in an
-    /// idealized execution: if a hb b then a completed before b.
-    #[test]
-    fn hb_respects_completion_order(
-        raw in proptest::collection::vec(raw_op(3, 4), 0..24),
-    ) {
-        let exec = build_exec(3, &raw);
+/// Happens-before never orders against completion time in an
+/// idealized execution: if a hb b then a completed before b.
+#[test]
+fn hb_respects_completion_order() {
+    check_cases("hb_respects_completion_order", CASES, |rng| {
+        let exec = build_exec(3, &raw_ops(rng, 3, 4, 24));
         let hb = HappensBefore::compute(&exec, HbMode::Drf0);
         for a in 0..exec.len() as u32 {
             for b in 0..a {
                 // b completed before a, so a must not happen-before b... i.e.
                 // any hb pair (x, y) must have x.index() < y.index().
-                prop_assert!(!hb.ordered(OpId::new(a), OpId::new(b)));
+                assert!(!hb.ordered(OpId::new(a), OpId::new(b)));
             }
         }
+    });
+}
+
+/// A relation over 1–23 elements with up to 59 random pairs.
+fn random_relation(rng: &mut SimRng) -> Relation {
+    let n = rng.range(1..=23) as usize;
+    let mut r = Relation::new(n);
+    for _ in 0..rng.range(0..=59) {
+        let (a, b) = (rng.range(0..=23) as usize % n, rng.range(0..=23) as usize % n);
+        r.add(OpId::new(a as u32), OpId::new(b as u32));
+    }
+    r
+}
+
+fn check_closure_laws(r: &Relation) {
+    let c = r.transitive_closure();
+    assert_eq!(c.transitive_closure(), c.clone());
+    for (a, b) in r.iter() {
+        assert!(c.contains(a, b), "closure lost a pair");
     }
 }
 
-fn random_relation() -> impl Strategy<Value = weakord_core::Relation> {
-    (1usize..24, proptest::collection::vec((0u32..24, 0u32..24), 0..60)).prop_map(|(n, pairs)| {
-        let mut r = weakord_core::Relation::new(n);
-        for (a, b) in pairs {
-            let (a, b) = (a as usize % n, b as usize % n);
-            r.add(OpId::new(a as u32), OpId::new(b as u32));
-        }
-        r
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Transitive closure is idempotent and monotone.
-    #[test]
-    fn closure_laws(r in random_relation()) {
-        let c = r.transitive_closure();
-        prop_assert_eq!(c.transitive_closure(), c.clone());
-        for (a, b) in r.iter() {
-            prop_assert!(c.contains(a, b), "closure lost a pair");
-        }
-    }
-
-    /// A topological order exists iff the relation is acyclic, and when
-    /// it exists it respects every pair.
-    #[test]
-    fn topological_order_laws(r in random_relation()) {
-        match r.topological_order() {
-            None => prop_assert!(!r.is_acyclic()),
-            Some(order) => {
-                prop_assert!(r.is_acyclic());
-                prop_assert_eq!(order.len(), r.len());
-                let pos = |x: OpId| order.iter().position(|&o| o == x).unwrap();
-                for (a, b) in r.iter() {
-                    if a != b {
-                        prop_assert!(pos(a) < pos(b), "order violates ({a}, {b})");
-                    }
+fn check_topological_order_laws(r: &Relation) {
+    match r.topological_order() {
+        None => assert!(!r.is_acyclic()),
+        Some(order) => {
+            assert!(r.is_acyclic());
+            assert_eq!(order.len(), r.len());
+            let pos = |x: OpId| order.iter().position(|&o| o == x).unwrap();
+            for (a, b) in r.iter() {
+                if a != b {
+                    assert!(pos(a) < pos(b), "order violates ({a}, {b})");
                 }
             }
         }
     }
+}
 
-    /// Union is commutative and closure distributes over consistency:
-    /// `consistent_with` is symmetric.
-    #[test]
-    fn union_and_consistency_are_symmetric(a in random_relation(), b in random_relation()) {
+/// Transitive closure is idempotent and monotone.
+#[test]
+fn closure_laws() {
+    check_cases("closure_laws", CASES, |rng| check_closure_laws(&random_relation(rng)));
+}
+
+/// A topological order exists iff the relation is acyclic, and when
+/// it exists it respects every pair.
+#[test]
+fn topological_order_laws() {
+    check_cases("topological_order_laws", CASES, |rng| {
+        check_topological_order_laws(&random_relation(rng))
+    });
+}
+
+/// A recorded counterexample, run through both laws above: the
+/// one-element self-loop, which must count as a cycle.
+#[test]
+fn one_element_self_loop_obeys_closure_and_topological_order_laws() {
+    let mut r = Relation::new(1);
+    r.add(OpId::new(0), OpId::new(0));
+    check_closure_laws(&r);
+    check_topological_order_laws(&r);
+}
+
+/// Union is commutative and closure distributes over consistency:
+/// `consistent_with` is symmetric.
+#[test]
+fn union_and_consistency_are_symmetric() {
+    check_cases("union_and_consistency_are_symmetric", CASES, |rng| {
+        let (a, b) = (random_relation(rng), random_relation(rng));
         if a.len() == b.len() {
-            prop_assert_eq!(a.union(&b), b.union(&a));
-            prop_assert_eq!(a.consistent_with(&b), b.consistent_with(&a));
+            assert_eq!(a.union(&b), b.union(&a));
+            assert_eq!(a.consistent_with(&b), b.consistent_with(&a));
         }
-    }
+    });
+}
 
-    /// Every atomic idealized execution is serializable (the identity
-    /// order witnesses it), whatever the program shape.
-    #[test]
-    fn atomic_executions_are_serializable(
-        raw in proptest::collection::vec(raw_op(3, 3), 0..14),
-    ) {
-        let exec = build_exec(3, &raw);
-        prop_assert!(weakord_core::is_execution_serializable(&exec));
-    }
+/// Every atomic idealized execution is serializable (the identity
+/// order witnesses it), whatever the program shape.
+#[test]
+fn atomic_executions_are_serializable() {
+    check_cases("atomic_executions_are_serializable", CASES, |rng| {
+        let exec = build_exec(3, &raw_ops(rng, 3, 3, 14));
+        assert!(weakord_core::is_execution_serializable(&exec));
+    });
+}
 
-    /// Serializability is invariant under the interleaving chosen: any
-    /// reordering of an atomic execution that keeps per-processor order
-    /// and read values intact stays explainable... conversely, breaking
-    /// one read's value usually (not always) breaks it; at minimum the
-    /// checker never panics and stays deterministic.
-    #[test]
-    fn serializability_is_deterministic(
-        raw in proptest::collection::vec(raw_op(3, 3), 0..12),
-    ) {
-        let exec = build_exec(3, &raw);
+/// Serializability is invariant under the interleaving chosen: any
+/// reordering of an atomic execution that keeps per-processor order
+/// and read values intact stays explainable... conversely, breaking
+/// one read's value usually (not always) breaks it; at minimum the
+/// checker never panics and stays deterministic.
+#[test]
+fn serializability_is_deterministic() {
+    check_cases("serializability_is_deterministic", CASES, |rng| {
+        let exec = build_exec(3, &raw_ops(rng, 3, 3, 12));
         let a = weakord_core::is_execution_serializable(&exec);
         let b = weakord_core::is_execution_serializable(&exec);
-        prop_assert_eq!(a, b);
-    }
+        assert_eq!(a, b);
+    });
 }

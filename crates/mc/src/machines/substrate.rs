@@ -455,7 +455,7 @@ mod tests {
             let n_locs = 1 + (next(&mut seed) % 4) as usize;
             let spread = 1 + next(&mut seed) % 200;
             let mut c = CacheState::new(n_procs, n_locs);
-            let mut version = |seed: &mut u64| (next(seed) % spread) as u32;
+            let version = |seed: &mut u64| (next(seed) % spread) as u32;
             for loc in 0..n_locs {
                 c.latest[loc].version = version(&mut seed);
                 for cache in &mut c.caches {

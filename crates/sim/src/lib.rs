@@ -39,6 +39,6 @@ pub use event::EventQueue;
 pub use fault::{Delivery, FaultPlan};
 pub use network::{AtomicBus, CongestedNet, Crossbar, GeneralNet, Interconnect, Mesh};
 pub use node::NodeId;
-pub use rng::SimRng;
+pub use rng::{check_cases, SimRng};
 pub use stats::{Counters, Histogram};
 pub use time::Cycle;

@@ -75,6 +75,28 @@ impl SimRng {
     }
 }
 
+/// Runs `property` on `cases` generated inputs: the in-tree property
+/// test runner.
+///
+/// Case `k` draws its input from a [`SimRng`] whose seed depends only
+/// on `name` and `k`, so every run checks the same cases and rerunning
+/// a failed test replays its failure. A failing case panics again,
+/// after its own message, naming the property, `k` and the seed.
+pub fn check_cases<F: FnMut(&mut SimRng)>(name: &str, cases: u32, mut property: F) {
+    // FNV-1a of the name seeds the property's stream of case seeds.
+    let mut seeds = SimRng::new(
+        name.bytes()
+            .fold(0xCBF2_9CE4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)),
+    );
+    for k in 0..cases {
+        let seed = seeds.next_u64();
+        let run = std::panic::AssertUnwindSafe(|| property(&mut SimRng::new(seed)));
+        if std::panic::catch_unwind(run).is_err() {
+            panic!("property `{name}` failed on case {k} of {cases} (seed {seed:#018x})");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,5 +162,22 @@ mod tests {
         assert_eq!(r.next_u64(), 0xE220_A839_7B1D_CDAF);
         assert_eq!(r.next_u64(), 0x6E78_9E6A_A1B9_65F4);
         assert_eq!(r.next_u64(), 0x06C4_5D18_8009_454F);
+    }
+
+    #[test]
+    fn check_cases_draws_the_same_cases_per_name() {
+        let draws = |name: &str| {
+            let mut seen = Vec::new();
+            check_cases(name, 8, |rng| seen.push(rng.next_u64()));
+            seen
+        };
+        assert_eq!(draws("p"), draws("p"));
+        assert_ne!(draws("p"), draws("q"));
+    }
+
+    #[test]
+    #[should_panic(expected = "property `even` failed on case")]
+    fn check_cases_names_the_failing_case() {
+        check_cases("even", 64, |rng| assert_eq!(rng.next_u64() % 2, 0));
     }
 }

@@ -3,15 +3,10 @@
 //! parse → IR → pretty-print round trip exactly, and the pretty-printer
 //! is a fixed point of its own output.
 
-// Gated: compiling this suite needs the external `proptest` crate,
-// which hermetic builds cannot fetch. Enable with `--features proptest`
-// after restoring the dev-dependency (see DESIGN.md).
-#![cfg(feature = "proptest")]
-
-use proptest::prelude::*;
 use weakord::core::{Loc, Value};
 use weakord::progs::gen::{corpus, GenParams};
 use weakord::progs::{parse_program, unparse_program, Program, Reg, ThreadBuilder};
+use weakord::sim::{check_cases, SimRng};
 
 /// One straight-line memory/sync/fence operation. Branches and labels
 /// are exercised by `gen::racy` below; this enum focuses on the ops the
@@ -30,20 +25,22 @@ enum Op {
 
 const N_LOCS: u32 = 3;
 
-fn any_op() -> impl Strategy<Value = Op> {
-    let reg = 0u8..4;
-    let loc = 0u32..N_LOCS;
-    let val = 0u64..9;
-    prop_oneof![
-        (reg.clone(), loc.clone()).prop_map(|(r, l)| Op::Read(r, l)),
-        (loc.clone(), val.clone()).prop_map(|(l, v)| Op::Write(l, v)),
-        (reg.clone(), loc.clone()).prop_map(|(r, l)| Op::SyncRead(r, l)),
-        (loc.clone(), val.clone()).prop_map(|(l, v)| Op::SyncWrite(l, v)),
-        (reg.clone(), loc.clone()).prop_map(|(r, l)| Op::Tas(r, l)),
-        (reg.clone(), loc.clone(), val.clone()).prop_map(|(r, l, v)| Op::Faa(r, l, v)),
-        (reg, loc, val).prop_map(|(r, l, v)| Op::Swap(r, l, v)),
-        Just(Op::Fence),
-    ]
+/// One of the eight op kinds with equal odds, over registers 0–3,
+/// locations below `N_LOCS` and values 0–8.
+fn any_op(rng: &mut SimRng) -> Op {
+    let reg = rng.range(0..=3) as u8;
+    let loc = rng.range(0..=u64::from(N_LOCS) - 1) as u32;
+    let val = rng.range(0..=8);
+    match rng.range(0..=7) {
+        0 => Op::Read(reg, loc),
+        1 => Op::Write(loc, val),
+        2 => Op::SyncRead(reg, loc),
+        3 => Op::SyncWrite(loc, val),
+        4 => Op::Tas(reg, loc),
+        5 => Op::Faa(reg, loc, val),
+        6 => Op::Swap(reg, loc, val),
+        _ => Op::Fence,
+    }
 }
 
 fn build(threads: &[Vec<Op>]) -> Program {
@@ -80,30 +77,33 @@ fn roundtrip(prog: &Program) {
     assert_eq!(unparse_program(&back), text, "{}", prog.name);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Straight-line programs over every fence/sync/RMW mnemonic
-    /// round-trip through the litmus text format.
-    #[test]
-    fn fence_and_rmw_programs_round_trip(
-        threads in prop::collection::vec(prop::collection::vec(any_op(), 0..8), 1..4),
-    ) {
+/// Straight-line programs over every fence/sync/RMW mnemonic
+/// round-trip through the litmus text format.
+#[test]
+fn fence_and_rmw_programs_round_trip() {
+    check_cases("fence_and_rmw_programs_round_trip", 64, |rng| {
+        let threads: Vec<Vec<Op>> = (0..rng.range(1..=3))
+            .map(|_| (0..rng.range(0..=7)).map(|_| any_op(rng)).collect())
+            .collect();
         roundtrip(&build(&threads));
-    }
+    });
+}
 
-    /// Every corpus shape round-trips, for any value seed — this is
-    /// what makes `weakord corpus --emit` faithful.
-    #[test]
-    fn corpus_shapes_round_trip(seed in 0u64..100, idx in 0usize..264) {
-        let shapes = corpus(seed);
-        roundtrip(&shapes[idx % shapes.len()].program);
-    }
+/// Every corpus shape round-trips, for any value seed — this is
+/// what makes `weakord corpus --emit` faithful.
+#[test]
+fn corpus_shapes_round_trip() {
+    check_cases("corpus_shapes_round_trip", 64, |rng| {
+        let shapes = corpus(rng.range(0..=99));
+        roundtrip(&shapes[rng.range(0..=263) as usize % shapes.len()].program);
+    });
+}
 
-    /// Generated racy programs (branches, delays, loops) keep
-    /// round-tripping too, so the property is not straight-line-only.
-    #[test]
-    fn generated_racy_programs_round_trip(seed in 0u64..200) {
-        roundtrip(&weakord::progs::gen::racy(seed, GenParams::default()));
-    }
+/// Generated racy programs (branches, delays, loops) keep
+/// round-tripping too, so the property is not straight-line-only.
+#[test]
+fn generated_racy_programs_round_trip() {
+    check_cases("generated_racy_programs_round_trip", 64, |rng| {
+        roundtrip(&weakord::progs::gen::racy(rng.range(0..=199), GenParams::default()));
+    });
 }
