@@ -9,14 +9,16 @@
 //!
 //! The detector agrees with the pairwise checker [`crate::check_drf`]
 //! on whether an execution is race-free (property-tested), but runs in
-//! `O(n · P)` instead of examining all pairs, so it scales to long
-//! executions from the timed simulator.
+//! `O(n · P)` instead of examining all pairs. Its caller outside tests
+//! is the program-level classifier (`weakord_mc::check_program_drf`),
+//! which keeps one detector per search depth and refills it with
+//! `clone_from` at every step; the clocks therefore live flat in a few
+//! vectors that a refill copies without allocating.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::exec::IdealizedExecution;
-use crate::hb::{HbMode, VectorClock};
+use crate::hb::HbMode;
 use crate::ids::{Loc, OpId, ProcId};
 use crate::op::MemOp;
 
@@ -70,14 +72,13 @@ impl fmt::Display for RaceEvent {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct LocState {
-    data_reads: Option<VectorClock>,
-    data_writes: Option<VectorClock>,
-    sync_reads: Option<VectorClock>,
-    sync_writes: Option<VectorClock>,
-    release: Option<VectorClock>,
-}
+// A location's five access clocks, in this order, each `n_procs` wide.
+const DATA_READS: usize = 0;
+const DATA_WRITES: usize = 1;
+const SYNC_READS: usize = 2;
+const SYNC_WRITES: usize = 3;
+const RELEASE: usize = 4;
+const SLOTS: usize = 5;
 
 /// Online happens-before race detector.
 ///
@@ -96,14 +97,49 @@ struct LocState {
 /// assert_eq!(races.len(), 1);
 /// # Ok::<(), weakord_core::ExecError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RaceDetector {
     mode: HbMode,
     n_procs: usize,
-    proc_clock: Vec<VectorClock>,
-    proc_ops: Vec<u32>,
-    locs: HashMap<Loc, LocState>,
+    /// Processor `p`'s vector clock is `clocks[p * n_procs..][..n_procs]`.
+    /// Its own component `p` counts the operations `p` has issued: no
+    /// other clock ever exceeds that count in component `p`.
+    clocks: Vec<u32>,
+    /// Every location observed so far, sorted. `locs[i]` owns
+    /// `slots[i * SLOTS * n_procs..][..SLOTS * n_procs]`.
+    locs: Vec<Loc>,
+    /// Per location, the joined stamps of its data reads, data writes,
+    /// sync reads and sync writes, then its release clock. An all-zero
+    /// clock means no such access yet: every stamp is nonzero in its
+    /// own processor's component, and a zero clock is below every
+    /// stamp, so it never reports a race.
+    slots: Vec<u32>,
     races: Vec<RaceEvent>,
+}
+
+/// Hand-written so `clone_from` reuses every buffer (the derived impl's
+/// `clone_from` clones fresh), which lets the program-level classifier
+/// refill one detector per search depth without allocating.
+impl Clone for RaceDetector {
+    fn clone(&self) -> Self {
+        RaceDetector {
+            mode: self.mode,
+            n_procs: self.n_procs,
+            clocks: self.clocks.clone(),
+            locs: self.locs.clone(),
+            slots: self.slots.clone(),
+            races: self.races.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.mode = src.mode;
+        self.n_procs = src.n_procs;
+        self.clocks.clone_from(&src.clocks);
+        self.locs.clone_from(&src.locs);
+        self.slots.clone_from(&src.slots);
+        self.races.clone_from(&src.races);
+    }
 }
 
 impl RaceDetector {
@@ -112,9 +148,9 @@ impl RaceDetector {
         RaceDetector {
             mode,
             n_procs,
-            proc_clock: vec![VectorClock::zero(n_procs); n_procs],
-            proc_ops: vec![0; n_procs],
-            locs: HashMap::new(),
+            clocks: vec![0; n_procs * n_procs],
+            locs: Vec::new(),
+            slots: Vec::new(),
             races: Vec::new(),
         }
     }
@@ -137,8 +173,9 @@ impl RaceDetector {
     /// Panics if `op.proc` is out of range for the declared processor
     /// count.
     pub fn observe(&mut self, op: &MemOp) {
+        let n = self.n_procs;
         let p = op.proc.index();
-        assert!(p < self.n_procs, "RaceDetector::observe: processor out of range");
+        assert!(p < n, "RaceDetector::observe: processor out of range");
         let is_sync = op.is_sync();
         // Every sync joins the location's release clock; under DRF1 the
         // clock only accumulates write-component syncs (below).
@@ -147,66 +184,70 @@ impl RaceDetector {
             HbMode::Drf0 => is_sync,
             HbMode::Drf1 => is_sync && op.kind.has_write(),
         };
+        let at = self.slots_of(op.loc);
+        let state = &mut self.slots[at..at + SLOTS * n];
+        let clock = &mut self.clocks[p * n..(p + 1) * n];
         // Acquire before stamping.
         if acquires {
-            if let Some(rel) = self.locs.entry(op.loc).or_default().release.as_ref() {
-                let rel = rel.clone();
-                self.proc_clock[p].join(&rel);
-            }
+            join(clock, &state[RELEASE * n..][..n]);
         }
-        self.proc_ops[p] += 1;
-        self.proc_clock[p].set(op.proc, self.proc_ops[p]);
-        let stamp = self.proc_clock[p].clone();
+        clock[p] += 1;
+        let stamp = &*clock;
 
         // Under DRF1, sync-sync pairs on a location are exempt from race
         // reporting (the refined model deliberately leaves e.g. two Tests
         // unordered); under DRF0 the acquire above already ordered them,
         // so checking sync clocks is harmless either way.
         let check_sync_peers = self.mode == HbMode::Drf0 || !is_sync;
-        let state = self.locs.entry(op.loc).or_default();
-        let unordered = |past: &Option<VectorClock>| past.as_ref().is_some_and(|c| !c.le(&stamp));
-        let mut found: Vec<AccessClass> = Vec::new();
-        if unordered(&state.data_writes) {
-            found.push(AccessClass::DataWrite);
-        }
-        if check_sync_peers && unordered(&state.sync_writes) {
-            found.push(AccessClass::SyncWrite);
-        }
-        if op.kind.has_write() {
-            if unordered(&state.data_reads) {
-                found.push(AccessClass::DataRead);
+        let has_write = op.kind.has_write();
+        for (slot, against, checked) in [
+            (DATA_WRITES, AccessClass::DataWrite, true),
+            (SYNC_WRITES, AccessClass::SyncWrite, check_sync_peers),
+            (DATA_READS, AccessClass::DataRead, has_write),
+            (SYNC_READS, AccessClass::SyncRead, has_write && check_sync_peers),
+        ] {
+            if checked && !le(&state[slot * n..][..n], stamp) {
+                self.races.push(RaceEvent { op: op.id, proc: op.proc, loc: op.loc, against });
             }
-            if check_sync_peers && unordered(&state.sync_reads) {
-                found.push(AccessClass::SyncRead);
-            }
-        }
-        for against in found {
-            self.races.push(RaceEvent { op: op.id, proc: op.proc, loc: op.loc, against });
         }
         // Update access clocks.
         if op.kind.has_read() {
-            let slot = if is_sync { &mut state.sync_reads } else { &mut state.data_reads };
-            join_into(slot, &stamp, self.n_procs);
+            let slot = if is_sync { SYNC_READS } else { DATA_READS };
+            join(&mut state[slot * n..][..n], stamp);
         }
-        if op.kind.has_write() {
-            let slot = if is_sync { &mut state.sync_writes } else { &mut state.data_writes };
-            join_into(slot, &stamp, self.n_procs);
+        if has_write {
+            let slot = if is_sync { SYNC_WRITES } else { DATA_WRITES };
+            join(&mut state[slot * n..][..n], stamp);
         }
         if releases {
-            join_into(&mut state.release, &self.proc_clock[p], self.n_procs);
+            join(&mut state[RELEASE * n..][..n], stamp);
         }
+    }
+
+    /// Offset of `loc`'s clocks in `slots`, inserting zero clocks in its
+    /// sorted place on first sight. Location indices are sparse (the
+    /// augmentation location is `u32::MAX`), so they are not offsets.
+    fn slots_of(&mut self, loc: Loc) -> usize {
+        let width = SLOTS * self.n_procs;
+        let i = self.locs.binary_search(&loc).unwrap_or_else(|i| {
+            self.locs.insert(i, loc);
+            self.slots.splice(i * width..i * width, std::iter::repeat_n(0, width));
+            i
+        });
+        i * width
     }
 }
 
-fn join_into(slot: &mut Option<VectorClock>, clock: &VectorClock, n: usize) {
-    match slot {
-        Some(c) => c.join(clock),
-        None => {
-            let mut c = VectorClock::zero(n);
-            c.join(clock);
-            *slot = Some(c);
-        }
+/// Pointwise maximum of `into` and `from`.
+fn join(into: &mut [u32], from: &[u32]) {
+    for (a, b) in into.iter_mut().zip(from) {
+        *a = (*a).max(*b);
     }
+}
+
+/// Returns `true` if `a ≤ b` pointwise.
+fn le(a: &[u32], b: &[u32]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x <= y)
 }
 
 /// Runs the detector over a whole idealized execution and returns the

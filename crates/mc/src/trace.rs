@@ -2,16 +2,24 @@
 //!
 //! Definition 3 quantifies over **all** executions of a program on the
 //! idealized architecture. This module enumerates those executions —
-//! they are exactly the runs of [`ScMachine`] — and threads the online
-//! race detector through the search, so a program is judged racy as soon
-//! as any interleaving exhibits an unordered conflicting pair.
+//! they are exactly the runs of [`ScMachine`] — depth-first in thread
+//! order, and threads the online race detector along each path, so a
+//! program is judged racy as soon as any interleaving exhibits an
+//! unordered conflicting pair.
 //!
-//! Spin loops make the trace set infinite, so the search bounds the
-//! number of operations per thread; a truncated verdict means "no race
-//! found within the bound" rather than a proof. (State *results* don't
+//! Spin loops make the trace set infinite, so [`TraceLimits`] cuts each
+//! path at a number of operations per thread and stops after a number of
+//! complete traces; a truncated verdict means "no race found within the
+//! bounds" rather than a proof. The bounds limit paths, not the walk: a
+//! cut path is not a complete trace, so when the operation bound cuts
+//! every path, `max_traces` never fires and the walk visits every
+//! interleaving of the cut prefixes, a count that grows exponentially
+//! with the bound. (On three processors, `gen::race_free(0, ..)`
+//! completes no trace at 4, 5 or 6 operations per thread, and each step
+//! up multiplies the walk's time by about twenty.) State *results* don't
 //! need such bounds — see [`crate::explore`] — because outcome
 //! exploration deduplicates states; race history cannot be deduplicated
-//! the same way, hence the bound here.)
+//! the same way, hence the bounds here.
 
 use weakord_core::{HbMode, IdealizedExecution, MemOp, OpId, RaceDetector, RaceEvent};
 use weakord_progs::Program;
@@ -19,13 +27,18 @@ use weakord_progs::Program;
 use crate::machine::{Machine, OpRecord};
 use crate::machines::{ScMachine, ScState};
 
-/// Bounds for trace enumeration.
+/// Bounds for trace enumeration. They bound paths and complete traces,
+/// not the work of a walk: when `max_ops_per_thread` cuts every path, no
+/// trace completes, `max_traces` never fires, and the walk visits every
+/// interleaving of the cut prefixes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceLimits {
-    /// Maximum operations executed per thread along one trace; longer
-    /// traces are cut (marking the verdict truncated).
+    /// Maximum operations executed per thread along one path; a path is
+    /// cut where a thread would exceed it (marking the verdict
+    /// truncated). A cut path is not a complete trace.
     pub max_ops_per_thread: u32,
-    /// Maximum complete traces to enumerate.
+    /// Maximum complete traces to enumerate (marking the verdict
+    /// truncated when reached).
     pub max_traces: usize,
 }
 
@@ -39,6 +52,8 @@ impl Default for TraceLimits {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramDrfVerdict {
     /// Races found (empty = data-race-free within the explored bound).
+    /// `races[0]` is the witness; [`check_program_drf`] says why there
+    /// can be more.
     pub races: Vec<RaceEvent>,
     /// Complete (untruncated) traces enumerated.
     pub traces: usize,
@@ -47,7 +62,7 @@ pub struct ProgramDrfVerdict {
     ///
     /// Deliberately a bare bool, not the explorer's
     /// [`TruncationReason`](crate::explore::TruncationReason): here the
-    /// only possible cause is the per-thread operation bound, and the
+    /// only causes are the two [`TraceLimits`] bounds, and the
     /// enumeration is not resumable.
     pub truncated: bool,
 }
@@ -72,72 +87,145 @@ fn record_to_memop(rec: &OpRecord, id: u32, po_index: u32) -> MemOp {
     }
 }
 
+/// What a [`Walk`] carries along each interleaving and judges it by.
+trait Judge {
+    /// Per-path data, one copy per search depth. A child's copy is its
+    /// parent's, refilled with `clone_from`, then extended.
+    type Path: Clone;
+    /// `true` once no further trace can change the verdict.
+    fn settled(&self) -> bool;
+    /// Extends `path` by `op`, the path's `depth`-th operation (from 0).
+    /// `false` abandons the parent's remaining children.
+    fn extend(&mut self, path: &mut Self::Path, depth: usize, op: &MemOp) -> bool;
+    /// Judges a complete trace of `depth` operations.
+    fn complete(&mut self, path: &Self::Path, depth: usize);
+}
+
+/// One node of a [`Walk`]: the SC state and per-thread operation counts
+/// after the path so far, and the judge's data for that path.
+#[derive(Clone)]
+struct Frame<P> {
+    state: ScState,
+    ops_done: Vec<u32>,
+    path: P,
+}
+
+/// A depth-first walk over the idealized executions of a program, in
+/// thread order. `frames[d]` is the node at depth `d` of the current
+/// path; deeper frames stay allocated and are refilled in place, so once
+/// the deepest path has been reached the walk allocates nothing.
+struct Walk<'a, J: Judge> {
+    prog: &'a Program,
+    limits: TraceLimits,
+    judge: J,
+    frames: Vec<Frame<J::Path>>,
+    /// Ids are stamped in visit order across the whole walk.
+    next_id: u32,
+    traces: usize,
+    truncated: bool,
+}
+
+impl<'a, J: Judge> Walk<'a, J> {
+    fn run(prog: &'a Program, limits: TraceLimits, judge: J, path: J::Path) -> Self {
+        let root =
+            Frame { state: ScMachine.initial(prog), ops_done: vec![0; prog.n_procs()], path };
+        let mut walk = Walk {
+            prog,
+            limits,
+            judge,
+            frames: vec![root],
+            next_id: 0,
+            traces: 0,
+            truncated: false,
+        };
+        walk.dfs(0);
+        walk
+    }
+
+    fn dfs(&mut self, depth: usize) {
+        if self.traces >= self.limits.max_traces {
+            self.truncated = true;
+            return;
+        }
+        if self.judge.settled() {
+            return;
+        }
+        if self.frames.len() == depth + 1 {
+            let child = self.frames[depth].clone();
+            self.frames.push(child);
+        }
+        let mut advanced = false;
+        for t in 0..self.prog.threads.len() {
+            let (upto, deeper) = self.frames.split_at_mut(depth + 1);
+            let (node, child) = (&upto[depth], &mut deeper[0]);
+            if node.state.threads[t].is_halted() {
+                continue;
+            }
+            child.state.clone_from(&node.state);
+            let Some(rec) = ScMachine::step_thread(self.prog, &mut child.state, t) else {
+                continue;
+            };
+            advanced = true;
+            if node.ops_done[t] >= self.limits.max_ops_per_thread {
+                self.truncated = true;
+                continue;
+            }
+            let op = record_to_memop(&rec, self.next_id, node.ops_done[t]);
+            self.next_id += 1;
+            child.ops_done.clone_from(&node.ops_done);
+            child.ops_done[t] += 1;
+            child.path.clone_from(&node.path);
+            if !self.judge.extend(&mut child.path, depth, &op) {
+                return;
+            }
+            self.dfs(depth + 1);
+        }
+        if !advanced {
+            // Every live thread was halted: a complete trace.
+            self.traces += 1;
+            self.judge.complete(&self.frames[depth].path, depth);
+        }
+    }
+}
+
+/// Threads the online detector along each path and keeps the first race
+/// of each racy step.
+struct FirstRaces(Vec<RaceEvent>);
+
+impl Judge for FirstRaces {
+    type Path = RaceDetector;
+
+    fn settled(&self) -> bool {
+        !self.0.is_empty()
+    }
+
+    fn extend(&mut self, detector: &mut RaceDetector, _: usize, op: &MemOp) -> bool {
+        detector.observe(op);
+        match detector.races().first() {
+            Some(race) => {
+                self.0.push(*race);
+                false
+            }
+            None => true,
+        }
+    }
+
+    fn complete(&mut self, _: &RaceDetector, _: usize) {}
+}
+
 /// Checks whether `prog` obeys the data-race-free discipline under
 /// `mode`, by enumerating idealized executions up to the limits and
 /// running the vector-clock detector along each.
 ///
-/// Returns as soon as one race is found (the program is racy; one
-/// witness suffices), otherwise exhausts the bounded trace set.
+/// The walk descends no further once a race is found, but every node on
+/// the path to the racy step still steps and observes its remaining
+/// children, so `races` can hold several events: `races[0]` is the
+/// witness, and each later entry is the first race of one of those
+/// children. Without a race the bounded trace set is exhausted.
 pub fn check_program_drf(prog: &Program, mode: HbMode, limits: TraceLimits) -> ProgramDrfVerdict {
-    struct Search<'a> {
-        prog: &'a Program,
-        mode: HbMode,
-        limits: TraceLimits,
-        traces: usize,
-        truncated: bool,
-        races: Vec<RaceEvent>,
-        next_id: u32,
-    }
-
-    impl Search<'_> {
-        fn dfs(&mut self, state: &ScState, detector: &RaceDetector, ops_done: &[u32]) {
-            if !self.races.is_empty() || self.traces >= self.limits.max_traces {
-                if self.traces >= self.limits.max_traces {
-                    self.truncated = true;
-                }
-                return;
-            }
-            let mut advanced = false;
-            for t in 0..state.threads.len() {
-                if state.threads[t].is_halted() {
-                    continue;
-                }
-                let mut next = state.clone();
-                let Some(rec) = ScMachine::step_thread(self.prog, &mut next, t) else {
-                    continue;
-                };
-                advanced = true;
-                if ops_done[t] >= self.limits.max_ops_per_thread {
-                    self.truncated = true;
-                    continue;
-                }
-                let id = self.next_id;
-                self.next_id += 1;
-                let op = record_to_memop(&rec, id, ops_done[t]);
-                let mut det = detector.clone();
-                det.observe(&op);
-                if let Some(race) = det.races().first() {
-                    self.races.push(*race);
-                    return;
-                }
-                let mut done = ops_done.to_vec();
-                done[t] += 1;
-                self.dfs(&next, &det, &done);
-            }
-            if !advanced {
-                // Every live thread was halted: a complete trace.
-                self.traces += 1;
-            }
-        }
-    }
-
-    let mut search =
-        Search { prog, mode, limits, traces: 0, truncated: false, races: Vec::new(), next_id: 0 };
-    let detector = RaceDetector::new(prog.n_procs(), search.mode);
-    let initial = ScMachine.initial(prog);
-    let ops_done = vec![0u32; prog.n_procs()];
-    search.dfs(&initial, &detector, &ops_done);
-    ProgramDrfVerdict { races: search.races, traces: search.traces, truncated: search.truncated }
+    let detector = RaceDetector::new(prog.n_procs(), mode);
+    let walk = Walk::run(prog, limits, FirstRaces(Vec::new()), detector);
+    ProgramDrfVerdict { races: walk.judge.0, traces: walk.traces, truncated: walk.truncated }
 }
 
 #[cfg(test)]
@@ -220,7 +308,7 @@ mod tests {
 /// each with the model's own judge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramConformance {
-    /// Executions that violated the model (capped at the first few).
+    /// Complete traces whose execution violated the model.
     pub violating_traces: usize,
     /// Complete traces enumerated.
     pub traces: usize,
@@ -250,59 +338,44 @@ pub fn check_program_conforms(
     model: &dyn weakord_core::SynchronizationModel,
     limits: TraceLimits,
 ) -> ProgramConformance {
-    fn dfs(
-        prog: &Program,
-        model: &dyn weakord_core::SynchronizationModel,
-        limits: &TraceLimits,
-        state: &ScState,
-        ops: &mut Vec<MemOp>,
-        ops_done: &mut [u32],
-        next_id: &mut u32,
-        out: &mut ProgramConformance,
-    ) {
-        if out.traces >= limits.max_traces {
-            out.truncated = true;
-            return;
-        }
-        let mut advanced = false;
-        for t in 0..state.threads.len() {
-            if state.threads[t].is_halted() {
-                continue;
-            }
-            let mut next = state.clone();
-            let Some(rec) = ScMachine::step_thread(prog, &mut next, t) else {
-                continue;
-            };
-            advanced = true;
-            if ops_done[t] >= limits.max_ops_per_thread {
-                out.truncated = true;
-                continue;
-            }
-            let id = *next_id;
-            *next_id += 1;
-            ops.push(record_to_memop(&rec, id, ops_done[t]));
-            ops_done[t] += 1;
-            dfs(prog, model, limits, &next, ops, ops_done, next_id, out);
-            ops_done[t] -= 1;
-            ops.pop();
-        }
-        if !advanced {
-            out.traces += 1;
-            let exec = IdealizedExecution::from_observed(prog.n_procs() as u16, ops.clone())
-                .expect("enumerated execution is well-formed");
-            if !model.obeys(&exec) {
-                out.violating_traces += 1;
-            }
-        }
+    let judge = ModelJudge { model, n_procs: prog.n_procs() as u16, ops: Vec::new(), violating: 0 };
+    let walk = Walk::run(prog, limits, judge, ());
+    ProgramConformance {
+        violating_traces: walk.judge.violating,
+        traces: walk.traces,
+        truncated: walk.truncated,
+    }
+}
+
+/// Asks the model about every complete execution.
+struct ModelJudge<'m> {
+    model: &'m dyn weakord_core::SynchronizationModel,
+    n_procs: u16,
+    /// The operations of the current path: `ops[d]` is its `d`-th.
+    ops: Vec<MemOp>,
+    violating: usize,
+}
+
+impl Judge for ModelJudge<'_> {
+    type Path = ();
+
+    fn settled(&self) -> bool {
+        false
     }
 
-    let mut out = ProgramConformance { violating_traces: 0, traces: 0, truncated: false };
-    let initial = ScMachine.initial(prog);
-    let mut ops = Vec::new();
-    let mut ops_done = vec![0u32; prog.n_procs()];
-    let mut next_id = 0u32;
-    dfs(prog, model, &limits, &initial, &mut ops, &mut ops_done, &mut next_id, &mut out);
-    out
+    fn extend(&mut self, _: &mut (), depth: usize, op: &MemOp) -> bool {
+        self.ops.truncate(depth);
+        self.ops.push(*op);
+        true
+    }
+
+    fn complete(&mut self, _: &(), depth: usize) {
+        let exec = IdealizedExecution::from_observed(self.n_procs, self.ops[..depth].to_vec())
+            .expect("enumerated execution is well-formed");
+        if !self.model.obeys(&exec) {
+            self.violating += 1;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -24,15 +24,16 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use weakord_core::Loc;
+use weakord_core::{Drf0, HbMode, Loc, MonitorModel, SynchronizationModel};
 use weakord_mc::machines::{
     self, BnrMachine, CacheDelayMachine, NetReorderMachine, ScMachine, WoDef1Machine,
     WoDef2Machine, WriteBufferMachine,
 };
 use weakord_mc::{
-    explore, explore_seq, with_machine, Codec, Exploration, Limits, Machine, Reduction,
-    TruncationReason,
+    check_program_conforms, check_program_drf, explore, explore_seq, with_machine, Codec,
+    Exploration, Limits, Machine, Reduction, TraceLimits, TruncationReason,
 };
+use weakord_progs::gen::GenParams;
 use weakord_progs::{gen, litmus, parse_program, Program, Reg, Thread, ThreadBuilder};
 
 /// Worker counts every differential pair is exercised at.
@@ -575,4 +576,784 @@ fn every_state_graph_matches_its_pinned_digest() {
         .unwrap();
     }
     assert!(got == want, "state graphs changed; the current table is:\n{got}");
+}
+
+/// One pinned classifier row: `check_program_drf`'s verdict for `prog`
+/// under `mode` and `limits`, with `races` folded into an FNV-1a digest
+/// of its `Debug` form (every event in order, `OpId`s included).
+fn drf_row(label: &str, prog: &Program, mode: HbMode, limits: TraceLimits) -> String {
+    let v = check_program_drf(prog, mode, limits);
+    let digest = fnv1a(0xcbf2_9ce4_8422_2325, format!("{:?}", v.races).as_bytes());
+    format!(
+        "    ({label:?}, HbMode::{mode:?}, {}, {}, {digest:#018x}, {}, {}),\n",
+        limits.max_ops_per_thread, limits.max_traces, v.traces, v.truncated
+    )
+}
+
+/// One pinned conformance row: `check_program_conforms`'s verdict for
+/// `prog` against `model` under `limits`.
+fn conformance_row(
+    label: &str,
+    prog: &Program,
+    model: &dyn SynchronizationModel,
+    limits: TraceLimits,
+) -> String {
+    let c = check_program_conforms(prog, model, limits);
+    format!(
+        "    ({label:?}, {:?}, {}, {}, {}, {}, {}),\n",
+        model.name(),
+        limits.max_ops_per_thread,
+        limits.max_traces,
+        c.violating_traces,
+        c.traces,
+        c.truncated
+    )
+}
+
+/// `(program, mode, max ops per thread, max traces, races digest,
+/// traces, truncated)`.
+type PinnedVerdict = (&'static str, HbMode, u32, usize, u64, usize, bool);
+
+/// `(program, model, max ops per thread, max traces, violating traces,
+/// traces, truncated)`.
+type PinnedConformance = (&'static str, &'static str, u32, usize, usize, usize, bool);
+
+/// Every classifier verdict of the inputs below: the litmus set at the
+/// default limits; `race_free`/`racy` seeds 0..64 in the default shape
+/// at the contract-campaign bound `{40, 1000}` and at `{6, 300}`; seeds
+/// 0..16 on three processors at `{40, 1000}`. Each in DRF0 and DRF1.
+#[rustfmt::skip]
+const PINNED_VERDICTS: &[PinnedVerdict] = &[
+    ("fig1-dekker", HbMode::Drf0, 40, 20000, 0xfda6a9c91f9dacd4, 0, false),
+    ("fig1-dekker", HbMode::Drf1, 40, 20000, 0xfda6a9c91f9dacd4, 0, false),
+    ("dekker-sync", HbMode::Drf0, 40, 20000, 0x09612b07b5ecb5a5, 6, false),
+    ("dekker-sync", HbMode::Drf1, 40, 20000, 0x09612b07b5ecb5a5, 6, false),
+    ("mp", HbMode::Drf0, 40, 20000, 0x7f19779ba3f82dc1, 0, false),
+    ("mp", HbMode::Drf1, 40, 20000, 0x7f19779ba3f82dc1, 0, false),
+    ("mp-sync", HbMode::Drf0, 40, 20000, 0x09612b07b5ecb5a5, 780, true),
+    ("mp-sync", HbMode::Drf1, 40, 20000, 0x09612b07b5ecb5a5, 780, true),
+    ("lb", HbMode::Drf0, 40, 20000, 0x7f19779ba3f82dc1, 0, false),
+    ("lb", HbMode::Drf1, 40, 20000, 0x7f19779ba3f82dc1, 0, false),
+    ("coherence-corr", HbMode::Drf0, 40, 20000, 0xfe64b0b9ceee552b, 0, false),
+    ("coherence-corr", HbMode::Drf1, 40, 20000, 0xfe64b0b9ceee552b, 0, false),
+    ("coherence-cowr", HbMode::Drf0, 40, 20000, 0x53199f61201bf32c, 0, false),
+    ("coherence-cowr", HbMode::Drf1, 40, 20000, 0x53199f61201bf32c, 0, false),
+    ("iriw", HbMode::Drf0, 40, 20000, 0x9bb4ef258c8446f6, 0, false),
+    ("iriw", HbMode::Drf1, 40, 20000, 0x9bb4ef258c8446f6, 0, false),
+    ("wrc", HbMode::Drf0, 40, 20000, 0xfe64b0b9ceee552b, 0, false),
+    ("wrc", HbMode::Drf1, 40, 20000, 0xfe64b0b9ceee552b, 0, false),
+    ("wrc-sync", HbMode::Drf0, 40, 20000, 0x09612b07b5ecb5a5, 20000, true),
+    ("wrc-sync", HbMode::Drf1, 40, 20000, 0x09612b07b5ecb5a5, 20000, true),
+    ("2+2w", HbMode::Drf0, 40, 20000, 0x7f19779ba3f82dc1, 0, false),
+    ("2+2w", HbMode::Drf1, 40, 20000, 0x7f19779ba3f82dc1, 0, false),
+    ("rmw-atomicity", HbMode::Drf0, 40, 20000, 0x09612b07b5ecb5a5, 2, false),
+    ("rmw-atomicity", HbMode::Drf1, 40, 20000, 0x09612b07b5ecb5a5, 2, false),
+    ("fig3-handoff", HbMode::Drf0, 40, 20000, 0x09612b07b5ecb5a5, 780, true),
+    ("fig3-handoff", HbMode::Drf1, 40, 20000, 0x09612b07b5ecb5a5, 780, true),
+    ("racy-spy", HbMode::Drf0, 40, 20000, 0xed09ac80dbce6326, 0, false),
+    ("racy-spy", HbMode::Drf1, 40, 20000, 0xed09ac80dbce6326, 0, false),
+    ("race_free-0/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-0/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-0/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-0/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-0/2p", HbMode::Drf0, 40, 1000, 0xfdf174e03f8b3be1, 0, false),
+    ("racy-0/2p", HbMode::Drf1, 40, 1000, 0xfdf174e03f8b3be1, 0, false),
+    ("racy-0/2p", HbMode::Drf0, 6, 300, 0xfdf174e03f8b3be1, 0, false),
+    ("racy-0/2p", HbMode::Drf1, 6, 300, 0xfdf174e03f8b3be1, 0, false),
+    ("race_free-1/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-1/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-1/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-1/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-1/2p", HbMode::Drf0, 40, 1000, 0xc2272579164b27e9, 0, false),
+    ("racy-1/2p", HbMode::Drf1, 40, 1000, 0xc2272579164b27e9, 0, false),
+    ("racy-1/2p", HbMode::Drf0, 6, 300, 0xc2272579164b27e9, 0, false),
+    ("racy-1/2p", HbMode::Drf1, 6, 300, 0xc2272579164b27e9, 0, false),
+    ("race_free-2/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-2/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-2/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-2/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-2/2p", HbMode::Drf0, 40, 1000, 0x227c498e5ea8f5c5, 0, false),
+    ("racy-2/2p", HbMode::Drf1, 40, 1000, 0x227c498e5ea8f5c5, 0, false),
+    ("racy-2/2p", HbMode::Drf0, 6, 300, 0x4a9e0eff4dd2bb2a, 0, true),
+    ("racy-2/2p", HbMode::Drf1, 6, 300, 0x4a9e0eff4dd2bb2a, 0, true),
+    ("race_free-3/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-3/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-3/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-3/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-3/2p", HbMode::Drf0, 40, 1000, 0x63bb0d9277ea5f64, 0, false),
+    ("racy-3/2p", HbMode::Drf1, 40, 1000, 0x63bb0d9277ea5f64, 0, false),
+    ("racy-3/2p", HbMode::Drf0, 6, 300, 0x63bb0d9277ea5f64, 0, false),
+    ("racy-3/2p", HbMode::Drf1, 6, 300, 0x63bb0d9277ea5f64, 0, false),
+    ("race_free-4/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-4/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-4/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-4/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-4/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 924, false),
+    ("racy-4/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 924, false),
+    ("racy-4/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 300, true),
+    ("racy-4/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 300, true),
+    ("race_free-5/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-5/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-5/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-5/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-5/2p", HbMode::Drf0, 40, 1000, 0x63bb0d9277ea5f64, 0, false),
+    ("racy-5/2p", HbMode::Drf1, 40, 1000, 0x63bb0d9277ea5f64, 0, false),
+    ("racy-5/2p", HbMode::Drf0, 6, 300, 0x63bb0d9277ea5f64, 0, false),
+    ("racy-5/2p", HbMode::Drf1, 6, 300, 0x63bb0d9277ea5f64, 0, false),
+    ("race_free-6/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-6/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-6/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-6/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-6/2p", HbMode::Drf0, 40, 1000, 0xbf39b0a422efee74, 0, false),
+    ("racy-6/2p", HbMode::Drf1, 40, 1000, 0xbf39b0a422efee74, 0, false),
+    ("racy-6/2p", HbMode::Drf0, 6, 300, 0xbf39b0a422efee74, 0, false),
+    ("racy-6/2p", HbMode::Drf1, 6, 300, 0xbf39b0a422efee74, 0, false),
+    ("race_free-7/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-7/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-7/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-7/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-7/2p", HbMode::Drf0, 40, 1000, 0xc2182dcddd79a804, 0, false),
+    ("racy-7/2p", HbMode::Drf1, 40, 1000, 0xc2182dcddd79a804, 0, false),
+    ("racy-7/2p", HbMode::Drf0, 6, 300, 0xc2182dcddd79a804, 0, false),
+    ("racy-7/2p", HbMode::Drf1, 6, 300, 0xc2182dcddd79a804, 0, false),
+    ("race_free-8/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-8/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-8/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-8/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-8/2p", HbMode::Drf0, 40, 1000, 0xc9af9398e7f18098, 0, false),
+    ("racy-8/2p", HbMode::Drf1, 40, 1000, 0xc9af9398e7f18098, 0, false),
+    ("racy-8/2p", HbMode::Drf0, 6, 300, 0xc9af9398e7f18098, 0, false),
+    ("racy-8/2p", HbMode::Drf1, 6, 300, 0xc9af9398e7f18098, 0, false),
+    ("race_free-9/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-9/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-9/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-9/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-9/2p", HbMode::Drf0, 40, 1000, 0xcbe7ac087fa507e7, 0, false),
+    ("racy-9/2p", HbMode::Drf1, 40, 1000, 0xcbe7ac087fa507e7, 0, false),
+    ("racy-9/2p", HbMode::Drf0, 6, 300, 0x87b5b92f385cda0d, 0, true),
+    ("racy-9/2p", HbMode::Drf1, 6, 300, 0x87b5b92f385cda0d, 0, true),
+    ("race_free-10/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-10/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-10/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-10/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-10/2p", HbMode::Drf0, 40, 1000, 0x51c461b84ad35bb9, 0, false),
+    ("racy-10/2p", HbMode::Drf1, 40, 1000, 0x51c461b84ad35bb9, 0, false),
+    ("racy-10/2p", HbMode::Drf0, 6, 300, 0x51c461b84ad35bb9, 0, false),
+    ("racy-10/2p", HbMode::Drf1, 6, 300, 0x51c461b84ad35bb9, 0, false),
+    ("race_free-11/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-11/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-11/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-11/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-11/2p", HbMode::Drf0, 40, 1000, 0x36d4acfe9e1d9545, 0, false),
+    ("racy-11/2p", HbMode::Drf1, 40, 1000, 0x36d4acfe9e1d9545, 0, false),
+    ("racy-11/2p", HbMode::Drf0, 6, 300, 0x36d4acfe9e1d9545, 0, false),
+    ("racy-11/2p", HbMode::Drf1, 6, 300, 0x36d4acfe9e1d9545, 0, false),
+    ("race_free-12/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-12/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-12/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-12/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-12/2p", HbMode::Drf0, 40, 1000, 0x4a9e0eff4dd2bb2a, 0, false),
+    ("racy-12/2p", HbMode::Drf1, 40, 1000, 0x4a9e0eff4dd2bb2a, 0, false),
+    ("racy-12/2p", HbMode::Drf0, 6, 300, 0x4a9e0eff4dd2bb2a, 0, false),
+    ("racy-12/2p", HbMode::Drf1, 6, 300, 0x4a9e0eff4dd2bb2a, 0, false),
+    ("race_free-13/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-13/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-13/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-13/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-13/2p", HbMode::Drf0, 40, 1000, 0x6322517c8f5fc4ba, 0, false),
+    ("racy-13/2p", HbMode::Drf1, 40, 1000, 0x6322517c8f5fc4ba, 0, false),
+    ("racy-13/2p", HbMode::Drf0, 6, 300, 0x6322517c8f5fc4ba, 0, false),
+    ("racy-13/2p", HbMode::Drf1, 6, 300, 0x6322517c8f5fc4ba, 0, false),
+    ("race_free-14/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-14/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-14/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-14/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-14/2p", HbMode::Drf0, 40, 1000, 0x5ab05a0f112ef056, 0, false),
+    ("racy-14/2p", HbMode::Drf1, 40, 1000, 0x5ab05a0f112ef056, 0, false),
+    ("racy-14/2p", HbMode::Drf0, 6, 300, 0x5ab05a0f112ef056, 0, false),
+    ("racy-14/2p", HbMode::Drf1, 6, 300, 0x5ab05a0f112ef056, 0, false),
+    ("race_free-15/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-15/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-15/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-15/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-15/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 924, false),
+    ("racy-15/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 924, false),
+    ("racy-15/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 300, true),
+    ("racy-15/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 300, true),
+    ("race_free-16/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-16/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-16/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-16/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-16/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 210, false),
+    ("racy-16/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 210, false),
+    ("racy-16/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 210, false),
+    ("racy-16/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 210, false),
+    ("race_free-17/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-17/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-17/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-17/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-17/2p", HbMode::Drf0, 40, 1000, 0x2573beedbc2f10f3, 0, false),
+    ("racy-17/2p", HbMode::Drf1, 40, 1000, 0x2573beedbc2f10f3, 0, false),
+    ("racy-17/2p", HbMode::Drf0, 6, 300, 0x2573beedbc2f10f3, 0, false),
+    ("racy-17/2p", HbMode::Drf1, 6, 300, 0x2573beedbc2f10f3, 0, false),
+    ("race_free-18/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-18/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-18/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-18/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-18/2p", HbMode::Drf0, 40, 1000, 0x51c461b84ad35bb9, 0, false),
+    ("racy-18/2p", HbMode::Drf1, 40, 1000, 0x51c461b84ad35bb9, 0, false),
+    ("racy-18/2p", HbMode::Drf0, 6, 300, 0x51c461b84ad35bb9, 0, false),
+    ("racy-18/2p", HbMode::Drf1, 6, 300, 0x51c461b84ad35bb9, 0, false),
+    ("race_free-19/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-19/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-19/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-19/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-19/2p", HbMode::Drf0, 40, 1000, 0xbf00775bd692739e, 0, false),
+    ("racy-19/2p", HbMode::Drf1, 40, 1000, 0xbf00775bd692739e, 0, false),
+    ("racy-19/2p", HbMode::Drf0, 6, 300, 0xbf00775bd692739e, 0, false),
+    ("racy-19/2p", HbMode::Drf1, 6, 300, 0xbf00775bd692739e, 0, false),
+    ("race_free-20/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-20/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-20/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-20/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-20/2p", HbMode::Drf0, 40, 1000, 0x6322517c8f5fc4ba, 0, false),
+    ("racy-20/2p", HbMode::Drf1, 40, 1000, 0x6322517c8f5fc4ba, 0, false),
+    ("racy-20/2p", HbMode::Drf0, 6, 300, 0x6322517c8f5fc4ba, 0, false),
+    ("racy-20/2p", HbMode::Drf1, 6, 300, 0x6322517c8f5fc4ba, 0, false),
+    ("race_free-21/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-21/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-21/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-21/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-21/2p", HbMode::Drf0, 40, 1000, 0xec1031baffede8bc, 0, false),
+    ("racy-21/2p", HbMode::Drf1, 40, 1000, 0xec1031baffede8bc, 0, false),
+    ("racy-21/2p", HbMode::Drf0, 6, 300, 0x51c461b84ad35bb9, 0, true),
+    ("racy-21/2p", HbMode::Drf1, 6, 300, 0x51c461b84ad35bb9, 0, true),
+    ("race_free-22/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-22/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-22/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-22/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-22/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-22/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-22/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-22/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-23/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-23/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-23/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-23/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-23/2p", HbMode::Drf0, 40, 1000, 0xfdf174e03f8b3be1, 0, false),
+    ("racy-23/2p", HbMode::Drf1, 40, 1000, 0xfdf174e03f8b3be1, 0, false),
+    ("racy-23/2p", HbMode::Drf0, 6, 300, 0xfdf174e03f8b3be1, 0, false),
+    ("racy-23/2p", HbMode::Drf1, 6, 300, 0xfdf174e03f8b3be1, 0, false),
+    ("race_free-24/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-24/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-24/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-24/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-24/2p", HbMode::Drf0, 40, 1000, 0x227c498e5ea8f5c5, 0, false),
+    ("racy-24/2p", HbMode::Drf1, 40, 1000, 0x227c498e5ea8f5c5, 0, false),
+    ("racy-24/2p", HbMode::Drf0, 6, 300, 0x4a9e0eff4dd2bb2a, 0, true),
+    ("racy-24/2p", HbMode::Drf1, 6, 300, 0x4a9e0eff4dd2bb2a, 0, true),
+    ("race_free-25/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-25/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-25/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-25/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-25/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-25/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-25/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-25/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-26/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-26/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-26/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-26/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-26/2p", HbMode::Drf0, 40, 1000, 0x2573beedbc2f10f3, 0, false),
+    ("racy-26/2p", HbMode::Drf1, 40, 1000, 0x2573beedbc2f10f3, 0, false),
+    ("racy-26/2p", HbMode::Drf0, 6, 300, 0x2573beedbc2f10f3, 0, false),
+    ("racy-26/2p", HbMode::Drf1, 6, 300, 0x2573beedbc2f10f3, 0, false),
+    ("race_free-27/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-27/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-27/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-27/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-27/2p", HbMode::Drf0, 40, 1000, 0x227c498e5ea8f5c5, 0, false),
+    ("racy-27/2p", HbMode::Drf1, 40, 1000, 0x227c498e5ea8f5c5, 0, false),
+    ("racy-27/2p", HbMode::Drf0, 6, 300, 0x4a9e0eff4dd2bb2a, 0, true),
+    ("racy-27/2p", HbMode::Drf1, 6, 300, 0x4a9e0eff4dd2bb2a, 0, true),
+    ("race_free-28/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-28/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-28/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-28/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-28/2p", HbMode::Drf0, 40, 1000, 0xc7bb9bf26006d0dc, 0, false),
+    ("racy-28/2p", HbMode::Drf1, 40, 1000, 0xc7bb9bf26006d0dc, 0, false),
+    ("racy-28/2p", HbMode::Drf0, 6, 300, 0x4597c26a8e3f2d85, 0, true),
+    ("racy-28/2p", HbMode::Drf1, 6, 300, 0x4597c26a8e3f2d85, 0, true),
+    ("race_free-29/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-29/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-29/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-29/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-29/2p", HbMode::Drf0, 40, 1000, 0xab170d71ea2c68b4, 0, false),
+    ("racy-29/2p", HbMode::Drf1, 40, 1000, 0xab170d71ea2c68b4, 0, false),
+    ("racy-29/2p", HbMode::Drf0, 6, 300, 0xc2182dcddd79a804, 0, true),
+    ("racy-29/2p", HbMode::Drf1, 6, 300, 0xc2182dcddd79a804, 0, true),
+    ("race_free-30/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-30/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-30/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-30/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-30/2p", HbMode::Drf0, 40, 1000, 0xa923e97bbd53d83e, 0, false),
+    ("racy-30/2p", HbMode::Drf1, 40, 1000, 0xa923e97bbd53d83e, 0, false),
+    ("racy-30/2p", HbMode::Drf0, 6, 300, 0xa923e97bbd53d83e, 0, false),
+    ("racy-30/2p", HbMode::Drf1, 6, 300, 0xa923e97bbd53d83e, 0, false),
+    ("race_free-31/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-31/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-31/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-31/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-31/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 924, false),
+    ("racy-31/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 924, false),
+    ("racy-31/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 300, true),
+    ("racy-31/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 300, true),
+    ("race_free-32/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-32/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-32/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-32/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-32/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 210, false),
+    ("racy-32/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 210, false),
+    ("racy-32/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 210, false),
+    ("racy-32/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 210, false),
+    ("race_free-33/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-33/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-33/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-33/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-33/2p", HbMode::Drf0, 40, 1000, 0x7a3f1eafffec4fb6, 0, false),
+    ("racy-33/2p", HbMode::Drf1, 40, 1000, 0x7a3f1eafffec4fb6, 0, false),
+    ("racy-33/2p", HbMode::Drf0, 6, 300, 0x7a3f1eafffec4fb6, 0, false),
+    ("racy-33/2p", HbMode::Drf1, 6, 300, 0x7a3f1eafffec4fb6, 0, false),
+    ("race_free-34/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-34/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-34/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-34/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-34/2p", HbMode::Drf0, 40, 1000, 0x8a2d0df4a944e46f, 0, false),
+    ("racy-34/2p", HbMode::Drf1, 40, 1000, 0x8a2d0df4a944e46f, 0, false),
+    ("racy-34/2p", HbMode::Drf0, 6, 300, 0x8a2d0df4a944e46f, 0, false),
+    ("racy-34/2p", HbMode::Drf1, 6, 300, 0x8a2d0df4a944e46f, 0, false),
+    ("race_free-35/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-35/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-35/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-35/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-35/2p", HbMode::Drf0, 40, 1000, 0xe8365c8fc8cd5bbe, 0, false),
+    ("racy-35/2p", HbMode::Drf1, 40, 1000, 0xe8365c8fc8cd5bbe, 0, false),
+    ("racy-35/2p", HbMode::Drf0, 6, 300, 0xe8365c8fc8cd5bbe, 0, false),
+    ("racy-35/2p", HbMode::Drf1, 6, 300, 0xe8365c8fc8cd5bbe, 0, false),
+    ("race_free-36/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-36/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-36/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-36/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-36/2p", HbMode::Drf0, 40, 1000, 0x4a9e0eff4dd2bb2a, 0, false),
+    ("racy-36/2p", HbMode::Drf1, 40, 1000, 0x4a9e0eff4dd2bb2a, 0, false),
+    ("racy-36/2p", HbMode::Drf0, 6, 300, 0x4a9e0eff4dd2bb2a, 0, false),
+    ("racy-36/2p", HbMode::Drf1, 6, 300, 0x4a9e0eff4dd2bb2a, 0, false),
+    ("race_free-37/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-37/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-37/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-37/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-37/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-37/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-37/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-37/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-38/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-38/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-38/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-38/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-38/2p", HbMode::Drf0, 40, 1000, 0xbf00775bd692739e, 0, false),
+    ("racy-38/2p", HbMode::Drf1, 40, 1000, 0xbf00775bd692739e, 0, false),
+    ("racy-38/2p", HbMode::Drf0, 6, 300, 0xbf00775bd692739e, 0, false),
+    ("racy-38/2p", HbMode::Drf1, 6, 300, 0xbf00775bd692739e, 0, false),
+    ("race_free-39/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-39/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-39/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-39/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-39/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-39/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-39/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-39/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-40/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-40/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-40/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-40/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-40/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-40/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-40/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-40/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-41/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-41/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-41/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-41/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-41/2p", HbMode::Drf0, 40, 1000, 0xf2f96a01675ff9b5, 0, false),
+    ("racy-41/2p", HbMode::Drf1, 40, 1000, 0xf2f96a01675ff9b5, 0, false),
+    ("racy-41/2p", HbMode::Drf0, 6, 300, 0xf2f96a01675ff9b5, 0, false),
+    ("racy-41/2p", HbMode::Drf1, 6, 300, 0xf2f96a01675ff9b5, 0, false),
+    ("race_free-42/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-42/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-42/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-42/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-42/2p", HbMode::Drf0, 40, 1000, 0xbf00775bd692739e, 0, false),
+    ("racy-42/2p", HbMode::Drf1, 40, 1000, 0xbf00775bd692739e, 0, false),
+    ("racy-42/2p", HbMode::Drf0, 6, 300, 0xbf00775bd692739e, 0, false),
+    ("racy-42/2p", HbMode::Drf1, 6, 300, 0xbf00775bd692739e, 0, false),
+    ("race_free-43/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-43/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-43/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-43/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-43/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-43/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-43/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-43/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-44/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-44/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-44/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-44/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-44/2p", HbMode::Drf0, 40, 1000, 0xc9af9398e7f18098, 0, false),
+    ("racy-44/2p", HbMode::Drf1, 40, 1000, 0xc9af9398e7f18098, 0, false),
+    ("racy-44/2p", HbMode::Drf0, 6, 300, 0xc9af9398e7f18098, 0, false),
+    ("racy-44/2p", HbMode::Drf1, 6, 300, 0xc9af9398e7f18098, 0, false),
+    ("race_free-45/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-45/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-45/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-45/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-45/2p", HbMode::Drf0, 40, 1000, 0xa923e97bbd53d83e, 0, false),
+    ("racy-45/2p", HbMode::Drf1, 40, 1000, 0xa923e97bbd53d83e, 0, false),
+    ("racy-45/2p", HbMode::Drf0, 6, 300, 0x0a37c9ef12c05981, 0, true),
+    ("racy-45/2p", HbMode::Drf1, 6, 300, 0x0a37c9ef12c05981, 0, true),
+    ("race_free-46/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-46/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-46/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-46/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-46/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 495, false),
+    ("racy-46/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 495, false),
+    ("racy-46/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-46/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-47/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-47/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-47/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-47/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-47/2p", HbMode::Drf0, 40, 1000, 0xa0e4887379aeb091, 0, false),
+    ("racy-47/2p", HbMode::Drf1, 40, 1000, 0xa0e4887379aeb091, 0, false),
+    ("racy-47/2p", HbMode::Drf0, 6, 300, 0xa0e4887379aeb091, 0, false),
+    ("racy-47/2p", HbMode::Drf1, 6, 300, 0xa0e4887379aeb091, 0, false),
+    ("race_free-48/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-48/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-48/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-48/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-48/2p", HbMode::Drf0, 40, 1000, 0x475efbb71e712b8d, 0, false),
+    ("racy-48/2p", HbMode::Drf1, 40, 1000, 0x475efbb71e712b8d, 0, false),
+    ("racy-48/2p", HbMode::Drf0, 6, 300, 0x475efbb71e712b8d, 0, false),
+    ("racy-48/2p", HbMode::Drf1, 6, 300, 0x475efbb71e712b8d, 0, false),
+    ("race_free-49/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-49/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-49/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-49/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-49/2p", HbMode::Drf0, 40, 1000, 0x7a3f1eafffec4fb6, 0, false),
+    ("racy-49/2p", HbMode::Drf1, 40, 1000, 0x7a3f1eafffec4fb6, 0, false),
+    ("racy-49/2p", HbMode::Drf0, 6, 300, 0x7a3f1eafffec4fb6, 0, false),
+    ("racy-49/2p", HbMode::Drf1, 6, 300, 0x7a3f1eafffec4fb6, 0, false),
+    ("race_free-50/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-50/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-50/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-50/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-50/2p", HbMode::Drf0, 40, 1000, 0xb5462aede24eb674, 0, false),
+    ("racy-50/2p", HbMode::Drf1, 40, 1000, 0xb5462aede24eb674, 0, false),
+    ("racy-50/2p", HbMode::Drf0, 6, 300, 0xb5462aede24eb674, 0, false),
+    ("racy-50/2p", HbMode::Drf1, 6, 300, 0xb5462aede24eb674, 0, false),
+    ("race_free-51/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-51/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-51/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-51/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-51/2p", HbMode::Drf0, 40, 1000, 0x4b70eba9678c692d, 0, false),
+    ("racy-51/2p", HbMode::Drf1, 40, 1000, 0x4b70eba9678c692d, 0, false),
+    ("racy-51/2p", HbMode::Drf0, 6, 300, 0x4b70eba9678c692d, 0, false),
+    ("racy-51/2p", HbMode::Drf1, 6, 300, 0x4b70eba9678c692d, 0, false),
+    ("race_free-52/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-52/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-52/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-52/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-52/2p", HbMode::Drf0, 40, 1000, 0xec293cb046f9612a, 0, false),
+    ("racy-52/2p", HbMode::Drf1, 40, 1000, 0xec293cb046f9612a, 0, false),
+    ("racy-52/2p", HbMode::Drf0, 6, 300, 0xec293cb046f9612a, 0, false),
+    ("racy-52/2p", HbMode::Drf1, 6, 300, 0xec293cb046f9612a, 0, false),
+    ("race_free-53/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-53/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-53/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-53/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-53/2p", HbMode::Drf0, 40, 1000, 0x763f505ba6eef606, 0, false),
+    ("racy-53/2p", HbMode::Drf1, 40, 1000, 0x763f505ba6eef606, 0, false),
+    ("racy-53/2p", HbMode::Drf0, 6, 300, 0x763f505ba6eef606, 0, false),
+    ("racy-53/2p", HbMode::Drf1, 6, 300, 0x763f505ba6eef606, 0, false),
+    ("race_free-54/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-54/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-54/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-54/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-54/2p", HbMode::Drf0, 40, 1000, 0xfdf174e03f8b3be1, 0, false),
+    ("racy-54/2p", HbMode::Drf1, 40, 1000, 0xfdf174e03f8b3be1, 0, false),
+    ("racy-54/2p", HbMode::Drf0, 6, 300, 0xfdf174e03f8b3be1, 0, false),
+    ("racy-54/2p", HbMode::Drf1, 6, 300, 0xfdf174e03f8b3be1, 0, false),
+    ("race_free-55/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-55/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-55/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-55/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-55/2p", HbMode::Drf0, 40, 1000, 0xb6756badb07e2176, 0, false),
+    ("racy-55/2p", HbMode::Drf1, 40, 1000, 0xb6756badb07e2176, 0, false),
+    ("racy-55/2p", HbMode::Drf0, 6, 300, 0xb6756badb07e2176, 0, false),
+    ("racy-55/2p", HbMode::Drf1, 6, 300, 0xb6756badb07e2176, 0, false),
+    ("race_free-56/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-56/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-56/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-56/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-56/2p", HbMode::Drf0, 40, 1000, 0x005240fd8d393fd2, 0, false),
+    ("racy-56/2p", HbMode::Drf1, 40, 1000, 0x005240fd8d393fd2, 0, false),
+    ("racy-56/2p", HbMode::Drf0, 6, 300, 0x005240fd8d393fd2, 0, false),
+    ("racy-56/2p", HbMode::Drf1, 6, 300, 0x005240fd8d393fd2, 0, false),
+    ("race_free-57/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-57/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-57/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-57/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-57/2p", HbMode::Drf0, 40, 1000, 0xd88908fc6829ef69, 0, false),
+    ("racy-57/2p", HbMode::Drf1, 40, 1000, 0xd88908fc6829ef69, 0, false),
+    ("racy-57/2p", HbMode::Drf0, 6, 300, 0xd88908fc6829ef69, 0, false),
+    ("racy-57/2p", HbMode::Drf1, 6, 300, 0xd88908fc6829ef69, 0, false),
+    ("race_free-58/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-58/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-58/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-58/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-58/2p", HbMode::Drf0, 40, 1000, 0xb5462aede24eb674, 0, false),
+    ("racy-58/2p", HbMode::Drf1, 40, 1000, 0xb5462aede24eb674, 0, false),
+    ("racy-58/2p", HbMode::Drf0, 6, 300, 0xb5462aede24eb674, 0, false),
+    ("racy-58/2p", HbMode::Drf1, 6, 300, 0xb5462aede24eb674, 0, false),
+    ("race_free-59/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-59/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-59/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-59/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-59/2p", HbMode::Drf0, 40, 1000, 0x7e054ec5ee926d76, 0, false),
+    ("racy-59/2p", HbMode::Drf1, 40, 1000, 0x7e054ec5ee926d76, 0, false),
+    ("racy-59/2p", HbMode::Drf0, 6, 300, 0x7e054ec5ee926d76, 0, false),
+    ("racy-59/2p", HbMode::Drf1, 6, 300, 0x7e054ec5ee926d76, 0, false),
+    ("race_free-60/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-60/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-60/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-60/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-60/2p", HbMode::Drf0, 40, 1000, 0xe2865607139948f5, 0, false),
+    ("racy-60/2p", HbMode::Drf1, 40, 1000, 0xe2865607139948f5, 0, false),
+    ("racy-60/2p", HbMode::Drf0, 6, 300, 0xe2865607139948f5, 0, false),
+    ("racy-60/2p", HbMode::Drf1, 6, 300, 0xe2865607139948f5, 0, false),
+    ("race_free-61/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-61/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-61/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-61/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-61/2p", HbMode::Drf0, 40, 1000, 0xb5886a5260620a0f, 0, false),
+    ("racy-61/2p", HbMode::Drf1, 40, 1000, 0xb5886a5260620a0f, 0, false),
+    ("racy-61/2p", HbMode::Drf0, 6, 300, 0xb5886a5260620a0f, 0, false),
+    ("racy-61/2p", HbMode::Drf1, 6, 300, 0xb5886a5260620a0f, 0, false),
+    ("race_free-62/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-62/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-62/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-62/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-62/2p", HbMode::Drf0, 40, 1000, 0x2b04123ad1b8bcd1, 0, false),
+    ("racy-62/2p", HbMode::Drf1, 40, 1000, 0x2b04123ad1b8bcd1, 0, false),
+    ("racy-62/2p", HbMode::Drf0, 6, 300, 0x2b04123ad1b8bcd1, 0, false),
+    ("racy-62/2p", HbMode::Drf1, 6, 300, 0x2b04123ad1b8bcd1, 0, false),
+    ("race_free-63/2p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-63/2p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-63/2p", HbMode::Drf0, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("race_free-63/2p", HbMode::Drf1, 6, 300, 0x09612b07b5ecb5a5, 0, true),
+    ("racy-63/2p", HbMode::Drf0, 40, 1000, 0x5606abe23a5552c8, 0, false),
+    ("racy-63/2p", HbMode::Drf1, 40, 1000, 0x5606abe23a5552c8, 0, false),
+    ("racy-63/2p", HbMode::Drf0, 6, 300, 0x5606abe23a5552c8, 0, false),
+    ("racy-63/2p", HbMode::Drf1, 6, 300, 0x5606abe23a5552c8, 0, false),
+    ("race_free-0/3p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-0/3p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-0/3p", HbMode::Drf0, 40, 1000, 0xfdf174e03f8b3be1, 0, false),
+    ("racy-0/3p", HbMode::Drf1, 40, 1000, 0xfdf174e03f8b3be1, 0, false),
+    ("race_free-1/3p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-1/3p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-1/3p", HbMode::Drf0, 40, 1000, 0xc2272579164b27e9, 0, false),
+    ("racy-1/3p", HbMode::Drf1, 40, 1000, 0xc2272579164b27e9, 0, false),
+    ("race_free-2/3p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-2/3p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-2/3p", HbMode::Drf0, 40, 1000, 0x227c498e5ea8f5c5, 0, false),
+    ("racy-2/3p", HbMode::Drf1, 40, 1000, 0x227c498e5ea8f5c5, 0, false),
+    ("race_free-3/3p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-3/3p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-3/3p", HbMode::Drf0, 40, 1000, 0x63bb0d9277ea5f64, 0, false),
+    ("racy-3/3p", HbMode::Drf1, 40, 1000, 0x63bb0d9277ea5f64, 0, false),
+    ("race_free-4/3p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-4/3p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-4/3p", HbMode::Drf0, 40, 1000, 0xa70a61c9bc263338, 0, false),
+    ("racy-4/3p", HbMode::Drf1, 40, 1000, 0xa70a61c9bc263338, 0, false),
+    ("race_free-5/3p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-5/3p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-5/3p", HbMode::Drf0, 40, 1000, 0x63bb0d9277ea5f64, 0, false),
+    ("racy-5/3p", HbMode::Drf1, 40, 1000, 0x63bb0d9277ea5f64, 0, false),
+    ("race_free-6/3p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-6/3p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-6/3p", HbMode::Drf0, 40, 1000, 0xbf39b0a422efee74, 0, false),
+    ("racy-6/3p", HbMode::Drf1, 40, 1000, 0xbf39b0a422efee74, 0, false),
+    ("race_free-7/3p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-7/3p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-7/3p", HbMode::Drf0, 40, 1000, 0xc2182dcddd79a804, 0, false),
+    ("racy-7/3p", HbMode::Drf1, 40, 1000, 0xc2182dcddd79a804, 0, false),
+    ("race_free-8/3p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-8/3p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-8/3p", HbMode::Drf0, 40, 1000, 0xc9af9398e7f18098, 0, false),
+    ("racy-8/3p", HbMode::Drf1, 40, 1000, 0xc9af9398e7f18098, 0, false),
+    ("race_free-9/3p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-9/3p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-9/3p", HbMode::Drf0, 40, 1000, 0xcbe7ac087fa507e7, 0, false),
+    ("racy-9/3p", HbMode::Drf1, 40, 1000, 0xcbe7ac087fa507e7, 0, false),
+    ("race_free-10/3p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-10/3p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-10/3p", HbMode::Drf0, 40, 1000, 0x51c461b84ad35bb9, 0, false),
+    ("racy-10/3p", HbMode::Drf1, 40, 1000, 0x51c461b84ad35bb9, 0, false),
+    ("race_free-11/3p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-11/3p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-11/3p", HbMode::Drf0, 40, 1000, 0x36d4acfe9e1d9545, 0, false),
+    ("racy-11/3p", HbMode::Drf1, 40, 1000, 0x36d4acfe9e1d9545, 0, false),
+    ("race_free-12/3p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-12/3p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-12/3p", HbMode::Drf0, 40, 1000, 0x4a9e0eff4dd2bb2a, 0, false),
+    ("racy-12/3p", HbMode::Drf1, 40, 1000, 0x4a9e0eff4dd2bb2a, 0, false),
+    ("race_free-13/3p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-13/3p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-13/3p", HbMode::Drf0, 40, 1000, 0x6322517c8f5fc4ba, 0, false),
+    ("racy-13/3p", HbMode::Drf1, 40, 1000, 0x6322517c8f5fc4ba, 0, false),
+    ("race_free-14/3p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-14/3p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-14/3p", HbMode::Drf0, 40, 1000, 0x5ab05a0f112ef056, 0, false),
+    ("racy-14/3p", HbMode::Drf1, 40, 1000, 0x5ab05a0f112ef056, 0, false),
+    ("race_free-15/3p", HbMode::Drf0, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("race_free-15/3p", HbMode::Drf1, 40, 1000, 0x09612b07b5ecb5a5, 1000, true),
+    ("racy-15/3p", HbMode::Drf0, 40, 1000, 0xcd73dae83caa3bbc, 0, false),
+    ("racy-15/3p", HbMode::Drf1, 40, 1000, 0xcd73dae83caa3bbc, 0, false),
+];
+
+/// `check_program_conforms` under DRF0 and under the generator's
+/// monitor discipline: the litmus set at the default limits, and
+/// `race_free`/`racy` seeds 0..8 at `{40, 1000}`.
+#[rustfmt::skip]
+const PINNED_CONFORMANCE: &[PinnedConformance] = &[
+    ("fig1-dekker", "DRF0", 40, 20000, 6, 6, false),
+    ("fig1-dekker", "monitors", 40, 20000, 6, 6, false),
+    ("dekker-sync", "DRF0", 40, 20000, 0, 6, false),
+    ("dekker-sync", "monitors", 40, 20000, 0, 6, false),
+    ("mp", "DRF0", 40, 20000, 6, 6, false),
+    ("mp", "monitors", 40, 20000, 6, 6, false),
+    ("mp-sync", "DRF0", 40, 20000, 0, 780, true),
+    ("mp-sync", "monitors", 40, 20000, 780, 780, true),
+    ("lb", "DRF0", 40, 20000, 6, 6, false),
+    ("lb", "monitors", 40, 20000, 6, 6, false),
+    ("coherence-corr", "DRF0", 40, 20000, 3, 3, false),
+    ("coherence-corr", "monitors", 40, 20000, 3, 3, false),
+    ("coherence-cowr", "DRF0", 40, 20000, 3, 3, false),
+    ("coherence-cowr", "monitors", 40, 20000, 3, 3, false),
+    ("iriw", "DRF0", 40, 20000, 180, 180, false),
+    ("iriw", "monitors", 40, 20000, 180, 180, false),
+    ("wrc", "DRF0", 40, 20000, 16, 16, false),
+    ("wrc", "monitors", 40, 20000, 16, 16, false),
+    ("wrc-sync", "DRF0", 40, 20000, 0, 20000, true),
+    ("wrc-sync", "monitors", 40, 20000, 20000, 20000, true),
+    ("2+2w", "DRF0", 40, 20000, 6, 6, false),
+    ("2+2w", "monitors", 40, 20000, 6, 6, false),
+    ("rmw-atomicity", "DRF0", 40, 20000, 0, 2, false),
+    ("rmw-atomicity", "monitors", 40, 20000, 0, 2, false),
+    ("fig3-handoff", "DRF0", 40, 20000, 0, 780, true),
+    ("fig3-handoff", "monitors", 40, 20000, 780, 780, true),
+    ("racy-spy", "DRF0", 40, 20000, 6, 6, false),
+    ("racy-spy", "monitors", 40, 20000, 6, 6, false),
+    ("race_free-0/2p", "DRF0", 40, 1000, 0, 1000, true),
+    ("race_free-0/2p", "monitors", 40, 1000, 0, 1000, true),
+    ("racy-0/2p", "DRF0", 40, 1000, 70, 70, false),
+    ("racy-0/2p", "monitors", 40, 1000, 70, 70, false),
+    ("race_free-1/2p", "DRF0", 40, 1000, 0, 1000, true),
+    ("race_free-1/2p", "monitors", 40, 1000, 0, 1000, true),
+    ("racy-1/2p", "DRF0", 40, 1000, 210, 210, false),
+    ("racy-1/2p", "monitors", 40, 1000, 210, 210, false),
+    ("race_free-2/2p", "DRF0", 40, 1000, 0, 1000, true),
+    ("race_free-2/2p", "monitors", 40, 1000, 0, 1000, true),
+    ("racy-2/2p", "DRF0", 40, 1000, 495, 495, false),
+    ("racy-2/2p", "monitors", 40, 1000, 495, 495, false),
+    ("race_free-3/2p", "DRF0", 40, 1000, 0, 1000, true),
+    ("race_free-3/2p", "monitors", 40, 1000, 0, 1000, true),
+    ("racy-3/2p", "DRF0", 40, 1000, 1000, 1000, true),
+    ("racy-3/2p", "monitors", 40, 1000, 1000, 1000, true),
+    ("race_free-4/2p", "DRF0", 40, 1000, 0, 1000, true),
+    ("race_free-4/2p", "monitors", 40, 1000, 0, 1000, true),
+    ("racy-4/2p", "DRF0", 40, 1000, 0, 924, false),
+    ("racy-4/2p", "monitors", 40, 1000, 924, 924, false),
+    ("race_free-5/2p", "DRF0", 40, 1000, 0, 1000, true),
+    ("race_free-5/2p", "monitors", 40, 1000, 0, 1000, true),
+    ("racy-5/2p", "DRF0", 40, 1000, 245, 1000, true),
+    ("racy-5/2p", "monitors", 40, 1000, 1000, 1000, true),
+    ("race_free-6/2p", "DRF0", 40, 1000, 0, 1000, true),
+    ("race_free-6/2p", "monitors", 40, 1000, 0, 1000, true),
+    ("racy-6/2p", "DRF0", 40, 1000, 210, 210, false),
+    ("racy-6/2p", "monitors", 40, 1000, 210, 210, false),
+    ("race_free-7/2p", "DRF0", 40, 1000, 0, 1000, true),
+    ("race_free-7/2p", "monitors", 40, 1000, 0, 1000, true),
+    ("racy-7/2p", "DRF0", 40, 1000, 70, 70, false),
+    ("racy-7/2p", "monitors", 40, 1000, 70, 70, false),
+];
+
+/// Pins every DRF classifier verdict field for field against values
+/// recorded by an earlier build: a change to the detector's clocks, the
+/// order races are reported in, the walk's order or its op stamping
+/// shows up as a changed row. Conformance verdicts ride along.
+#[test]
+fn every_drf_verdict_matches_its_pinned_digest() {
+    let campaign = [
+        TraceLimits { max_ops_per_thread: 40, max_traces: 1_000 },
+        TraceLimits { max_ops_per_thread: 6, max_traces: 300 },
+    ];
+    let three = GenParams { n_procs: 3, ..GenParams::default() };
+    let mut cases: Vec<(String, Program, Vec<TraceLimits>)> = Vec::new();
+    for lit in litmus::all() {
+        cases.push((lit.name.to_string(), lit.program, vec![TraceLimits::default()]));
+    }
+    for (params, seeds, bounds) in
+        [(GenParams::default(), 64, &campaign[..]), (three, 16, &campaign[..1])]
+    {
+        for seed in 0..seeds {
+            for (kind, prog) in
+                [("race_free", gen::race_free(seed, params)), ("racy", gen::racy(seed, params))]
+            {
+                cases.push((format!("{kind}-{seed}/{}p", params.n_procs), prog, bounds.to_vec()));
+            }
+        }
+    }
+    let mut got = String::new();
+    for (label, prog, bounds) in &cases {
+        for limits in bounds {
+            for mode in [HbMode::Drf0, HbMode::Drf1] {
+                got += &drf_row(label, prog, mode, *limits);
+            }
+        }
+    }
+    // `cases` holds the litmus set, then the default shape's seeds in
+    // order, two programs each: this takes the litmus set and seeds 0..8.
+    let monitor = MonitorModel::new(GenParams::default().monitor_map());
+    for (label, prog, bounds) in &cases[..litmus::all().len() + 16] {
+        for model in [&Drf0 as &dyn SynchronizationModel, &monitor] {
+            got += &conformance_row(label, prog, model, bounds[0]);
+        }
+    }
+    let mut want = String::new();
+    for (prog, mode, ops, traces_cap, digest, traces, truncated) in PINNED_VERDICTS {
+        writeln!(
+            want,
+            "    ({prog:?}, HbMode::{mode:?}, {ops}, {traces_cap}, {digest:#018x}, {traces}, \
+             {truncated}),"
+        )
+        .unwrap();
+    }
+    for (prog, model, ops, traces_cap, violating, traces, truncated) in PINNED_CONFORMANCE {
+        writeln!(
+            want,
+            "    ({prog:?}, {model:?}, {ops}, {traces_cap}, {violating}, {traces}, {truncated}),"
+        )
+        .unwrap();
+    }
+    assert!(got == want, "classifier verdicts changed; the current table is:\n{got}");
 }

@@ -119,19 +119,32 @@ fn mid_stream_disconnect_neither_wedges_nor_perturbs() {
     drop(reader);
     drop(raw); // mid-stream hangup
 
-    // The job still completes to its durable result.
+    // The job still completes: wait for `status` to list it as done.
+    // Its result file is renamed into place before the job settles, so
+    // the file alone does not mean done; a resubmit in that window
+    // rightly joins the running job instead of hitting the cache.
     let spec = spec_for("iriw", "wo-def2", 150_000);
     let (_, id) = job_identity(&spec, 1).unwrap();
-    let result_path = dir.join("results").join(format!("{id}.json"));
+    let mut client = Client::connect(server.addr()).unwrap();
     let deadline = Instant::now() + Duration::from_secs(120);
-    while !result_path.exists() {
+    loop {
+        let status = json::parse(&client.request(r#"{"op":"status"}"#).unwrap()).unwrap();
+        let jobs = status.get("jobs").and_then(Json::as_arr).unwrap();
+        let phase = jobs
+            .iter()
+            .find(|j| j.get("id").and_then(Json::as_str) == Some(id.as_str()))
+            .and_then(|j| j.get("phase").and_then(Json::as_str));
+        if phase == Some("done") {
+            break;
+        }
         assert!(Instant::now() < deadline, "job never finished after client hangup");
         std::thread::sleep(Duration::from_millis(20));
     }
+    let result_path = dir.join("results").join(format!("{id}.json"));
+    assert!(result_path.exists(), "a done job has its durable result");
 
     // The daemon still serves, and a re-submission hits the cache with
     // the same payload an undisturbed daemon computes.
-    let mut client = Client::connect(server.addr()).unwrap();
     assert_eq!(client.request(r#"{"op":"ping"}"#).unwrap(), r#"{"event":"pong"}"#);
     let reply = client
         .submit(r#"{"op":"submit","machine":"wo-def2","litmus":"iriw","max_states":150000}"#)

@@ -21,9 +21,13 @@ use std::cell::Cell;
 use std::sync::Mutex;
 
 use weakord::coherence::{CoherentMachine, Config, Policy};
+use weakord::core::HbMode;
 use weakord::mc::machines::{BnrMachine, WoDef1Machine, NAMES};
-use weakord::mc::{explore, run, with_machine, Limits, Machine, Opts, ProgressSink};
+use weakord::mc::{
+    check_program_drf, explore, run, with_machine, Limits, Machine, Opts, ProgressSink, TraceLimits,
+};
 use weakord::obs::MemTracer;
+use weakord::progs::gen::{self, GenParams};
 use weakord::progs::workloads::{fig3_scenario, ticket_lock, Fig3Params, SpinlockParams};
 use weakord::progs::{litmus, Program, ThreadBuilder};
 
@@ -230,6 +234,28 @@ fn disabled_tracing_allocates_nothing_extra() {
             recording > gated,
             "{}: recording {events} events should visibly allocate",
             prog.name
+        );
+    }
+}
+
+/// The DRF0 classifier's allocation budget. `check_program_drf` walks
+/// SC interleavings on one recycled frame (state, detector, op counts)
+/// per depth, so once the deepest path has been reached the walk
+/// allocates nothing more. A per-node clone of any of the three costs
+/// dozens of blocks per complete trace.
+#[test]
+fn classifier_allocates_under_one_block_per_trace() {
+    let limits = TraceLimits { max_ops_per_thread: 40, max_traces: 1_000 };
+    for seed in 0..8 {
+        let prog = gen::race_free(seed, GenParams::default());
+        let (allocs, verdict) = allocs_during(|| check_program_drf(&prog, HbMode::Drf0, limits));
+        assert_eq!(verdict.traces, limits.max_traces, "{}: the walk stopped early", prog.name);
+        let per_trace = allocs as f64 / verdict.traces as f64;
+        assert!(
+            per_trace < 1.0,
+            "{}: {per_trace:.2} allocations per complete trace ({allocs} over {} traces)",
+            prog.name,
+            verdict.traces
         );
     }
 }
