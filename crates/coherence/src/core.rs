@@ -7,8 +7,9 @@
 //! reproduction measures.
 
 use weakord_core::{ProcId, Value};
+use weakord_obs::Histogram;
 use weakord_progs::{Access, Thread, ThreadState};
-use weakord_sim::{Cycle, Histogram};
+use weakord_sim::Cycle;
 
 use crate::cache::Notice;
 use crate::policy::NackParams;

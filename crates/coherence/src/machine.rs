@@ -460,7 +460,7 @@ impl RunResult {
                 }
             }
             if st.sync_wait.count() > 0 {
-                st.sync_wait.export(&format!("{ns}.sync-wait"), &mut reg);
+                st.sync_wait.export_metrics(&format!("{ns}.sync-wait"), &mut reg);
             }
         }
         for (l, st) in self.loc_stats.iter().enumerate() {

@@ -19,14 +19,13 @@
 //! [7]      reserved (0)
 //! [8..16)  FNV-1a-64 checksum of every byte from offset 16 on (LE)
 //! [16..)   configuration fingerprint (LEB128 varint; see below), then
-//!          the engine kind byte (0 = parallel sharded engine,
-//!          1 = sleep-set engine), then the engine payload
+//!          a tag byte (always 0), then the engine's [`Snapshot`]
 //!          ([`Codec`]-encoded)
 //! ```
 //!
 //! The **configuration fingerprint** hashes the program text (its
 //! canonical unparse), the machine name, the state cap, and the
-//! reduction mode (which also names the engine). A resume refuses a checkpoint whose fingerprint
+//! reduction mode. A resume refuses a checkpoint whose fingerprint
 //! does not match the resuming run's configuration — continuing a
 //! `wo-def2` exploration with an `sc` machine, a different program, or
 //! a different cap would silently produce a certificate for the wrong
@@ -54,12 +53,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use weakord_core::{Loc, OpKind, ProcId, Value};
+use weakord_core::{Loc, ProcId, Value};
 use weakord_progs::{unparse_program, Outcome, Program, ThreadState, N_REGS};
 
 use crate::explore::{Limits, Reduction, TruncationReason};
 use crate::fxhash::fingerprint;
-use crate::machine::{InternalKind, InternalStep, Label, OpRecord};
 
 /// Current on-disk format version. v2 switched the [`Codec`] integer
 /// representation from fixed-width little-endian to LEB128 varints.
@@ -236,16 +234,6 @@ pub enum CheckpointError {
         /// Fingerprint stored in the checkpoint.
         found: u64,
     },
-    /// The checkpoint holds the other engine's snapshot (parallel vs
-    /// sleep-set) although its fingerprint matches: the reduction mode
-    /// in the fingerprint names the engine, so only a damaged or
-    /// hand-edited file gets here.
-    EngineMismatch {
-        /// Engine kind byte the resuming run expected.
-        expected: u8,
-        /// Engine kind byte found in the file.
-        found: u8,
-    },
     /// The payload decoded inconsistently (e.g. ran out of bytes or
     /// contained an out-of-range discriminant) despite a good
     /// checksum.
@@ -275,13 +263,6 @@ impl fmt::Display for CheckpointError {
                  {found:#018x}, this run computed {expected:#018x} — machine, program, state \
                  cap, and reduction mode must all match to resume"
             ),
-            CheckpointError::EngineMismatch { expected, found } => write!(
-                f,
-                "checkpoint holds a {} engine snapshot but its configuration selects the {} \
-                 engine; delete it and re-run without --resume",
-                engine_name(*found),
-                engine_name(*expected),
-            ),
             CheckpointError::Malformed(what) => {
                 write!(f, "checkpoint payload is malformed ({what}); delete it and re-run")
             }
@@ -290,16 +271,6 @@ impl fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
-
-/// Human name of an engine kind byte (unknown bytes print as such
-/// rather than panicking — this renders inside error messages).
-fn engine_name(byte: u8) -> &'static str {
-    match byte {
-        0 => "parallel",
-        1 => "sleep-set",
-        _ => "unknown",
-    }
-}
 
 /// FNV-1a 64-bit, the format's integrity check: tiny, dependency-free,
 /// and plenty for detecting torn writes and bit rot (it is not a MAC).
@@ -313,13 +284,15 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The configuration a checkpoint is pinned to: everything that
-/// changes *what is being explored* (and so the engine that explores
-/// it), nothing that only changes how fast (threads, deadline).
+/// changes *what is being explored*, nothing that only changes how
+/// fast (threads, deadline, memory budget). Checkpoints of the retired
+/// sleep-set engine carry the reduction name `"sleep"`, which no
+/// current configuration produces, so they are refused as
+/// [`CheckpointError::ConfigMismatch`] before their payload is read.
 pub fn config_fingerprint(machine_name: &str, prog: &Program, limits: &Limits) -> u64 {
     let reduction = match limits.reduction {
         Reduction::Full => "full",
         Reduction::Ample => "ample",
-        Reduction::Sleep => "sleep",
     };
     fingerprint(&(machine_name, unparse_program(prog), limits.max_states as u64, reduction))
 }
@@ -610,106 +583,6 @@ impl Codec for Outcome {
     }
 }
 
-impl Codec for OpKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            OpKind::DataRead => 0,
-            OpKind::DataWrite => 1,
-            OpKind::SyncRead => 2,
-            OpKind::SyncWrite => 3,
-            OpKind::SyncRmw => 4,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(r)? {
-            0 => OpKind::DataRead,
-            1 => OpKind::DataWrite,
-            2 => OpKind::SyncRead,
-            3 => OpKind::SyncWrite,
-            4 => OpKind::SyncRmw,
-            _ => return Err(DecodeError("OpKind out of range")),
-        })
-    }
-}
-
-impl Codec for OpRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.proc.encode(out);
-        self.kind.encode(out);
-        self.loc.encode(out);
-        self.read_value.encode(out);
-        self.written_value.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(OpRecord {
-            proc: ProcId::decode(r)?,
-            kind: OpKind::decode(r)?,
-            loc: Loc::decode(r)?,
-            read_value: Option::decode(r)?,
-            written_value: Option::decode(r)?,
-        })
-    }
-}
-
-impl Codec for InternalKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            InternalKind::Halt => 0,
-            InternalKind::Drain => 1,
-            InternalKind::Deliver => 2,
-            InternalKind::Fence => 3,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(r)? {
-            0 => InternalKind::Halt,
-            1 => InternalKind::Drain,
-            2 => InternalKind::Deliver,
-            3 => InternalKind::Fence,
-            _ => return Err(DecodeError("InternalKind out of range")),
-        })
-    }
-}
-
-impl Codec for InternalStep {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.proc.encode(out);
-        self.target.encode(out);
-        self.loc.encode(out);
-        self.kind.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(InternalStep {
-            proc: ProcId::decode(r)?,
-            target: Option::decode(r)?,
-            loc: Option::decode(r)?,
-            kind: InternalKind::decode(r)?,
-        })
-    }
-}
-
-impl Codec for Label {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Label::Op(rec) => {
-                out.push(0);
-                rec.encode(out);
-            }
-            Label::Internal(step) => {
-                out.push(1);
-                step.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(r)? {
-            0 => Label::Op(OpRecord::decode(r)?),
-            1 => Label::Internal(InternalStep::decode(r)?),
-            _ => return Err(DecodeError("Label tag out of range")),
-        })
-    }
-}
-
 impl Codec for TruncationReason {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(match self {
@@ -733,7 +606,7 @@ impl Codec for TruncationReason {
 }
 
 // ---------------------------------------------------------------------
-// Snapshots: what each engine persists.
+// Snapshots: what the engine persists.
 // ---------------------------------------------------------------------
 
 /// Durable [`crate::ExplorationStats`] counters carried across a
@@ -803,12 +676,12 @@ impl PersistedCounters {
     }
 }
 
-/// A quiescent image of the parallel engine: per-shard visited sets
-/// plus the merged frontier. At the rendezvous that produces one, the
-/// frontier holds *exactly* the admitted-but-unexpanded states, so
-/// re-seeding both sets reproduces the remaining exploration.
-#[derive(Debug, Clone)]
-pub struct ParallelSnapshot<S> {
+/// A quiescent image of the engine: per-shard visited sets plus the
+/// merged frontier. At the rendezvous that produces one, the frontier
+/// holds *exactly* the admitted-but-unexpanded states, so re-seeding
+/// both sets reproduces the remaining exploration.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Snapshot<S> {
     /// Outcomes collected so far.
     pub outcomes: BTreeSet<Outcome>,
     /// Deadlocked states counted so far.
@@ -823,67 +696,6 @@ pub struct ParallelSnapshot<S> {
     /// Admitted states not yet expanded.
     pub frontier: Vec<S>,
 }
-
-/// A snapshot of the reduced (sleep-set) engine: the visited map with
-/// each state's sleep set, plus the DFS stack *in order* — the reduced
-/// search is deterministic, so replaying the exact stack continues the
-/// run as if it was never interrupted.
-#[derive(Debug, Clone)]
-pub struct ReducedSnapshot<S> {
-    /// Outcomes collected so far.
-    pub outcomes: BTreeSet<Outcome>,
-    /// Deadlocked states counted so far.
-    pub deadlocks: u64,
-    /// Durable stat counters.
-    pub counters: PersistedCounters,
-    /// Why the checkpointed run stopped, if it did.
-    pub truncation: Option<TruncationReason>,
-    /// Visited states with the sleep set each was last expanded with.
-    pub visited: Vec<(S, Vec<Label>)>,
-    /// The DFS stack, bottom first.
-    pub stack: Vec<(S, Vec<Label>)>,
-}
-
-/// Which engine wrote a checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Snapshot<S> {
-    /// The parallel sharded engine ([`crate::explore`]).
-    Parallel(ParallelSnapshot<S>),
-    /// The sleep-set engine ([`Reduction::Sleep`]).
-    Reduced(ReducedSnapshot<S>),
-}
-
-impl<S> PartialEq for ParallelSnapshot<S>
-where
-    S: PartialEq,
-{
-    fn eq(&self, other: &Self) -> bool {
-        self.outcomes == other.outcomes
-            && self.deadlocks == other.deadlocks
-            && self.counters == other.counters
-            && self.truncation == other.truncation
-            && self.shards == other.shards
-            && self.frontier == other.frontier
-    }
-}
-
-impl<S: PartialEq> Eq for ParallelSnapshot<S> {}
-
-impl<S> PartialEq for ReducedSnapshot<S>
-where
-    S: PartialEq,
-{
-    fn eq(&self, other: &Self) -> bool {
-        self.outcomes == other.outcomes
-            && self.deadlocks == other.deadlocks
-            && self.counters == other.counters
-            && self.truncation == other.truncation
-            && self.visited == other.visited
-            && self.stack == other.stack
-    }
-}
-
-impl<S: PartialEq> Eq for ReducedSnapshot<S> {}
 
 fn encode_outcomes(outcomes: &BTreeSet<Outcome>, out: &mut Vec<u8>) {
     (u32::try_from(outcomes.len()).expect("outcome set too large")).encode(out);
@@ -901,60 +713,33 @@ fn decode_outcomes(r: &mut Reader<'_>) -> Result<BTreeSet<Outcome>, DecodeError>
     Ok(set)
 }
 
+/// The payload's leading tag byte. Format v2 once used `1` for the
+/// retired sleep-set engine; such files fail their fingerprint check
+/// first, and any other non-zero tag is malformed.
+const SNAPSHOT_TAG: u8 = 0;
+
 impl<S: Codec> Codec for Snapshot<S> {
     fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Snapshot::Parallel(p) => {
-                out.push(0);
-                encode_outcomes(&p.outcomes, out);
-                p.deadlocks.encode(out);
-                p.counters.encode(out);
-                p.truncation.encode(out);
-                p.shards.encode(out);
-                p.frontier.encode(out);
-            }
-            Snapshot::Reduced(q) => {
-                out.push(1);
-                encode_outcomes(&q.outcomes, out);
-                q.deadlocks.encode(out);
-                q.counters.encode(out);
-                q.truncation.encode(out);
-                q.visited.encode(out);
-                q.stack.encode(out);
-            }
-        }
+        out.push(SNAPSHOT_TAG);
+        encode_outcomes(&self.outcomes, out);
+        self.deadlocks.encode(out);
+        self.counters.encode(out);
+        self.truncation.encode(out);
+        self.shards.encode(out);
+        self.frontier.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(r)? {
-            0 => Snapshot::Parallel(ParallelSnapshot {
-                outcomes: decode_outcomes(r)?,
-                deadlocks: u64::decode(r)?,
-                counters: PersistedCounters::decode(r)?,
-                truncation: Option::decode(r)?,
-                shards: Vec::decode(r)?,
-                frontier: Vec::decode(r)?,
-            }),
-            1 => Snapshot::Reduced(ReducedSnapshot {
-                outcomes: decode_outcomes(r)?,
-                deadlocks: u64::decode(r)?,
-                counters: PersistedCounters::decode(r)?,
-                truncation: Option::decode(r)?,
-                visited: Vec::decode(r)?,
-                stack: Vec::decode(r)?,
-            }),
-            _ => return Err(DecodeError("engine kind out of range")),
-        })
-    }
-}
-
-impl<S> Snapshot<S> {
-    /// The engine tag byte, for [`CheckpointError::EngineMismatch`]
-    /// reporting.
-    pub(crate) fn engine_byte(&self) -> u8 {
-        match self {
-            Snapshot::Parallel(_) => 0,
-            Snapshot::Reduced(_) => 1,
+        if u8::decode(r)? != SNAPSHOT_TAG {
+            return Err(DecodeError("snapshot tag out of range"));
         }
+        Ok(Snapshot {
+            outcomes: decode_outcomes(r)?,
+            deadlocks: u64::decode(r)?,
+            counters: PersistedCounters::decode(r)?,
+            truncation: Option::decode(r)?,
+            shards: Vec::decode(r)?,
+            frontier: Vec::decode(r)?,
+        })
     }
 }
 
@@ -1063,9 +848,6 @@ mod tests {
             CheckpointError::ConfigMismatch { expected: 0xdead_beef, found: 0xcafe }.to_string();
         assert!(msg.contains("0x00000000deadbeef"), "{msg}");
         assert!(msg.contains("0x000000000000cafe"), "{msg}");
-        let msg = CheckpointError::EngineMismatch { expected: 1, found: 0 }.to_string();
-        assert!(msg.contains("parallel"), "{msg}");
-        assert!(msg.contains("sleep-set"), "{msg}");
     }
 
     #[test]
@@ -1085,25 +867,6 @@ mod tests {
         u32::MAX.encode(&mut buf);
         buf.extend_from_slice(&[0; 4]);
         assert!(Vec::<u8>::decode(&mut Reader::new(&buf)).is_err());
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        let labels = vec![
-            Label::Op(OpRecord {
-                proc: ProcId::new(1),
-                kind: OpKind::SyncRmw,
-                loc: Loc::new(3),
-                read_value: Some(Value::new(7)),
-                written_value: Some(Value::new(9)),
-            }),
-            Label::Internal(InternalStep::halt(ProcId::new(0))),
-            Label::Internal(InternalStep::drain(ProcId::new(2), Loc::new(1))),
-            Label::Internal(InternalStep::deliver(ProcId::new(0), ProcId::new(1), Loc::new(0))),
-        ];
-        let mut buf = Vec::new();
-        labels.encode(&mut buf);
-        assert_eq!(Vec::<Label>::decode(&mut Reader::new(&buf)).unwrap(), labels);
     }
 
     #[test]
@@ -1149,7 +912,47 @@ mod tests {
         };
         assert_eq!(fp(Reduction::Full), 0x3a72_0bf8_e2df_70f3);
         assert_eq!(fp(Reduction::Ample), 0x3fb9_6954_4e3e_e000);
-        assert_ne!(fp(Reduction::Sleep), fp(Reduction::Full));
-        assert_ne!(fp(Reduction::Sleep), fp(Reduction::Ample));
+    }
+
+    /// A checkpoint of the retired sleep-set engine (payload tag 1,
+    /// fingerprinted with the reduction name `"sleep"`) is refused by
+    /// its fingerprint before the payload is read; a tag-1 payload
+    /// under a matching fingerprint is malformed, never a panic.
+    #[test]
+    fn retired_sleep_set_checkpoints_are_refused() {
+        let prog = weakord_progs::litmus::iriw().program;
+        let limits = Limits::reduced();
+        let text = unparse_program(&prog);
+        let sleep_fp = fingerprint(&("wo-def2", text, limits.max_states as u64, "sleep"));
+        let ample_fp = config_fingerprint("wo-def2", &prog, &limits);
+        assert_ne!(sleep_fp, ample_fp);
+        let dir = std::env::temp_dir().join(format!("weakord-ckpt-tag-{}", std::process::id()));
+        let cfg = CheckpointCfg::every(&dir, 0);
+        for fp in [sleep_fp, ample_fp] {
+            let snap = Snapshot::<u64> {
+                outcomes: BTreeSet::new(),
+                deadlocks: 0,
+                counters: PersistedCounters::default(),
+                truncation: None,
+                shards: Vec::new(),
+                frontier: Vec::new(),
+            };
+            save(&cfg, fp, &snap).expect("saves");
+            let mut bytes = std::fs::read(cfg.file()).expect("written");
+            let mut fp_bytes = Vec::new();
+            fp.encode(&mut fp_bytes);
+            bytes[BODY_AT + fp_bytes.len()] = 1;
+            let sum = fnv1a(&bytes[BODY_AT..]);
+            bytes[8..16].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(cfg.file(), &bytes).expect("rewritten");
+            match load::<u64>(&cfg, ample_fp) {
+                Err(CheckpointError::ConfigMismatch { found, .. }) if fp == sleep_fp => {
+                    assert_eq!(found, sleep_fp);
+                }
+                Err(CheckpointError::Malformed(_)) if fp == ample_fp => {}
+                other => panic!("unexpected load result {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

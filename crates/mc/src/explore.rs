@@ -6,9 +6,9 @@
 //! termination.
 //!
 //! One entry point, [`run`], takes the run's [`Opts`] (cancellation,
-//! live progress, checkpoint/resume) and picks the engine from
-//! [`Limits::reduction`]; [`explore`] is `run` with no options. Two
-//! engines and one reference share one result type:
+//! live progress, checkpoint/resume) and the successor pruning from
+//! [`Limits::reduction`]; [`explore`] is `run` with no options. One
+//! engine and one reference share one result type:
 //!
 //! * the parallel engine ([`Reduction::Full`] and [`Reduction::Ample`]):
 //!   `limits.threads` workers under
@@ -27,9 +27,6 @@
 //!   tail in its deque, where the peer steals it. With
 //!   [`Limits::memory_budget`] set, encoded states past the budget
 //!   spill to disk and capacity is bounded by disk, not RAM.
-//! * the sleep-set engine ([`Reduction::Sleep`], see [`crate::reduce`]):
-//!   a sequential DFS that adds sleep sets to the ample-set pruning. It
-//!   preserves outcome and deadlock sets while visiting fewer states.
 //! * [`explore_seq`] — the classic single-threaded DFS over a plain
 //!   `HashSet`, kept as the reference for differential testing and as
 //!   the same-run baseline of the explorer benchmarks.
@@ -51,12 +48,12 @@ use weakord_obs::{Event, MetricsRegistry, Tracer, Track};
 use weakord_progs::{Outcome, Program};
 
 use crate::checkpoint::{
-    self, config_fingerprint, CheckpointCfg, CheckpointError, Codec, ParallelSnapshot,
-    PersistedCounters, Reader, Snapshot,
+    self, config_fingerprint, CheckpointCfg, CheckpointError, Codec, PersistedCounters, Reader,
+    Snapshot,
 };
 use crate::fxhash::{hash_bytes, FxBuildHasher};
 use crate::machine::{Label, Machine};
-use crate::reduce::{ample_index, run_sleep, FutureTable};
+use crate::reduce::{ample_index, FutureTable};
 use crate::visited::{Admit, ProbeTelemetry, VisitedSet};
 
 pub use crate::visited::N_SHARDS;
@@ -73,10 +70,9 @@ pub struct Limits {
     /// Wall-clock budget; exceeding it truncates the exploration
     /// (`outcomes` is then a lower bound, like hitting `max_states`).
     pub deadline: Option<Duration>,
-    /// Whether and how the run prunes the successor relation with the
-    /// partial-order reduction — see [`crate::reduce`]. [`run`] picks
-    /// the engine from it. Outcome and deadlock sets are preserved;
-    /// `states` and `stats` shrink.
+    /// Whether the run prunes the successor relation with the
+    /// partial-order reduction — see [`crate::reduce`]. Outcome and
+    /// deadlock sets are preserved; `states` and `stats` shrink.
     pub reduction: Reduction,
     /// RAM ceiling, in bytes, for the visited set's resident footprint
     /// (encoded payloads + index). `None` (the default) keeps
@@ -88,24 +84,19 @@ pub struct Limits {
     pub memory_budget: Option<usize>,
 }
 
-/// Successor-pruning mode, and with it the engine [`run`] uses.
+/// Successor-pruning mode. Both modes run on the one engine and honor
+/// every [`Limits`] field and every [`Opts`] option.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Reduction {
-    /// Expand every enabled transition (the exhaustive baseline) on
-    /// the parallel engine.
+    /// Expand every enabled transition (the exhaustive baseline).
     #[default]
     Full,
     /// At each state, expand only a persistent (ample) subset of the
     /// enabled transitions when the dependence analysis finds one
     /// (see [`crate::reduce`]); outcome and deadlock sets are provably
-    /// unchanged. Runs on the parallel engine.
+    /// unchanged. A program with more locations than the analysis
+    /// covers runs unreduced, under the same checkpoint fingerprint.
     Ample,
-    /// Ample sets plus sleep sets, which also prune redundant arcs
-    /// between the states the search keeps. Runs on the sleep-set
-    /// engine ([`explore_seq`] treats it as `Ample`), which is
-    /// sequential and keeps its visited map in RAM: it ignores
-    /// [`Limits::threads`] and [`Limits::memory_budget`].
-    Sleep,
 }
 
 impl Default for Limits {
@@ -143,12 +134,7 @@ impl Limits {
 
     /// Default limits with ample-set reduction enabled.
     pub fn reduced() -> Self {
-        Limits::with_reduction(Reduction::Ample)
-    }
-
-    /// Default limits with an explicit reduction mode.
-    pub fn with_reduction(reduction: Reduction) -> Self {
-        Limits { reduction, ..Limits::default() }
+        Limits { reduction: Reduction::Ample, ..Limits::default() }
     }
 
     /// Default limits with a visited-set memory budget (bytes).
@@ -172,8 +158,7 @@ impl Limits {
 /// [`Opts::cancel`]) and keep the other; calling
 /// [`CancelToken::cancel`] from any thread stops the run at the next
 /// worker safepoint — the same per-arc granularity as the wall-clock
-/// deadline, so a cancel lands within one machine step per worker (the
-/// sleep-set engine checks once per state, at its loop top). A
+/// deadline, so a cancel lands within one machine step per worker. A
 /// cancelled run truncates with [`TruncationReason::Cancelled`]; when
 /// checkpointing is on, the final checkpoint is still written, so a
 /// cancelled job is resumable exactly like a suspended one.
@@ -309,11 +294,11 @@ impl ProgressSink {
         }
     }
 
-    /// The progress safepoint both engines share: if a sample is due,
-    /// elect the caller publisher (a CAS on the due time) and store
-    /// `sample()`. Not-yet-due calls and losers of the CAS race return
-    /// after one clock read, and no path allocates.
-    pub(crate) fn tick(&self, sample: impl FnOnce() -> ProgressSnapshot) {
+    /// The engine's progress safepoint: if a sample is due, elect the
+    /// caller publisher (a CAS on the due time) and store `sample()`.
+    /// Not-yet-due calls and losers of the CAS race return after one
+    /// clock read, and no path allocates.
+    fn tick(&self, sample: impl FnOnce() -> ProgressSnapshot) {
         let p = &self.inner;
         let now = p.epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         let due = p.next_due.load(Ordering::Relaxed);
@@ -332,10 +317,10 @@ impl ProgressSink {
     }
 
     /// Stores `s` (its `seq` is ignored) and bumps the publication
-    /// count: atomic stores only. Engines also call it once at the end,
-    /// so a monitor sees the closing counters even when the run ends
-    /// inside one sampling interval.
-    pub(crate) fn publish(&self, s: &ProgressSnapshot) {
+    /// count: atomic stores only. The engine also calls it once at the
+    /// end, so a monitor sees the closing counters even when the run
+    /// ends inside one sampling interval.
+    fn publish(&self, s: &ProgressSnapshot) {
         let p = &self.inner;
         p.states.store(s.states, Ordering::Relaxed);
         p.frontier.store(s.frontier, Ordering::Relaxed);
@@ -756,7 +741,7 @@ const DEADLINE_CHECK_EVERY: u32 = 128;
 /// How often a worker re-checks whether a progress sample is due,
 /// in state pops. Only decremented when a [`ProgressSink`] is attached;
 /// without one the progress path is a single untaken branch per pop.
-pub(crate) const PROGRESS_CHECK_EVERY: u32 = 64;
+const PROGRESS_CHECK_EVERY: u32 = 64;
 
 /// Per-worker cap on decoded states kept in the hot tail. Beyond it the
 /// oldest entries park in the shared frontier as bare ids: worker
@@ -824,10 +809,9 @@ pub struct Opts<'a> {
 }
 
 /// A run's checkpoint file, pinned to its configuration fingerprint.
-/// Both engines save and load through it.
 #[derive(Clone, Copy)]
-pub(crate) struct CkptSink<'a> {
-    pub(crate) cfg: &'a CheckpointCfg,
+struct CkptSink<'a> {
+    cfg: &'a CheckpointCfg,
     fp: u64,
 }
 
@@ -836,7 +820,7 @@ impl<'a> CkptSink<'a> {
     /// through and, when resuming, the snapshot to continue from.
     /// Computes the fingerprint only when checkpointing is on: plain
     /// runs pay nothing for it.
-    pub(crate) fn open<S: Codec>(
+    fn open<S: Codec>(
         checkpoint: Checkpoint<'a>,
         machine: &str,
         prog: &Program,
@@ -852,7 +836,7 @@ impl<'a> CkptSink<'a> {
         Ok((Some(sink), snap))
     }
 
-    pub(crate) fn write<S: Codec>(&self, snap: &Snapshot<S>) -> Result<(), CheckpointError> {
+    fn write<S: Codec>(&self, snap: &Snapshot<S>) -> Result<(), CheckpointError> {
         checkpoint::save(self.cfg, self.fp, snap)
     }
 }
@@ -1012,7 +996,7 @@ impl<'a, M: Machine> Engine<'a, M> {
             pruned_arcs: AtomicU64::new(0),
             reduction: match limits.reduction {
                 Reduction::Full => None,
-                Reduction::Ample | Reduction::Sleep => FutureTable::new(prog),
+                Reduction::Ample => FutureTable::new(prog),
             },
             ckpt: None,
             base: ResumeBase::default(),
@@ -1243,7 +1227,7 @@ impl<'a, M: Machine> Engine<'a, M> {
             std::thread::yield_now();
         }
         let wrote = Instant::now();
-        let snap = Snapshot::Parallel(self.snapshot(None));
+        let snap = self.snapshot(None);
         match c.sink.write(&snap) {
             Ok(()) => {
                 c.write_nanos.fetch_add(
@@ -1271,7 +1255,7 @@ impl<'a, M: Machine> Engine<'a, M> {
     /// store. Callers guarantee quiescence (rendezvous mid-run, or all
     /// workers joined at the end); every hot tail is parked in a deque at
     /// those points, so the frontier below is exact.
-    fn snapshot(&self, truncation: Option<TruncationReason>) -> ParallelSnapshot<M::State> {
+    fn snapshot(&self, truncation: Option<TruncationReason>) -> Snapshot<M::State> {
         let mut outcomes = self.base.outcomes.clone();
         let mut deadlocks = self.base.deadlocks;
         if let Some(c) = &self.ckpt {
@@ -1299,7 +1283,7 @@ impl<'a, M: Machine> Engine<'a, M> {
             .flat_map(|f| lock_clean(f).iter().copied().collect::<Vec<_>>())
             .map(|id| self.decode_state(id))
             .collect();
-        ParallelSnapshot {
+        Snapshot {
             outcomes,
             deadlocks,
             counters: self.persisted_counters(),
@@ -1594,7 +1578,7 @@ impl<'a, M: Machine> Engine<'a, M> {
     /// Rebuilds a checkpoint's visited set (re-encoding each state;
     /// shard and id assignment are recomputed), restores the durable
     /// counters it carried, and returns its frontier for [`Self::requeue`].
-    fn restore(&mut self, snap: ParallelSnapshot<M::State>) -> Vec<M::State> {
+    fn restore(&mut self, snap: Snapshot<M::State>) -> Vec<M::State> {
         let mut buf = Vec::new();
         for states in snap.shards {
             for s in states {
@@ -1649,7 +1633,7 @@ impl<'a, M: Machine> Engine<'a, M> {
                     .unwrap_or(CheckpointError::Malformed("checkpoint write failed")));
             }
             let wrote = Instant::now();
-            c.sink.write(&Snapshot::Parallel(self.snapshot(self.truncation())))?;
+            c.sink.write(&self.snapshot(self.truncation()))?;
             c.write_nanos.fetch_add(
                 wrote.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
                 Ordering::Relaxed,
@@ -1696,21 +1680,15 @@ impl<'a, M: Machine> Engine<'a, M> {
 /// Explores the reachable state space of `machine` running `prog`: the
 /// one entry point of the model checker.
 ///
-/// The engine follows `limits.reduction`: [`Reduction::Full`] and
-/// [`Reduction::Ample`] run the parallel engine on `limits.threads`
-/// workers (all available cores by default), [`Reduction::Sleep`] the
-/// sequential sleep-set engine. A program too wide for the reduction's
-/// footprint masks runs `Sleep` as `Full`, and checkpoints under the
-/// `Full` configuration, so save and resume agree.
-///
-/// On the parallel engine, `outcomes`, `states`, `deadlocks`, and
-/// `truncated` are identical to [`explore_seq`]'s whenever the
-/// exploration is not truncated — the engines differ only in visit
-/// order, which the exact visited set makes unobservable. Truncated
-/// explorations stop at the same state count but may retain a
-/// different (schedule-dependent) sample of outcomes; both are lower
-/// bounds. The sleep-set engine preserves `outcomes` and `deadlocks`
-/// but visits fewer states.
+/// The parallel engine runs on `limits.threads` workers (all available
+/// cores by default) and prunes successors as `limits.reduction` says.
+/// `outcomes`, `states`, `deadlocks`, and `truncated` are identical to
+/// [`explore_seq`]'s under the same reduction whenever the exploration
+/// is not truncated — the engines differ only in visit order, which the
+/// exact visited set makes unobservable. Truncated explorations stop at
+/// the same state count but may retain a different (schedule-dependent)
+/// sample of outcomes; both are lower bounds. [`Reduction::Ample`]
+/// preserves `outcomes` and `deadlocks` but visits fewer states.
 ///
 /// `opts` adds cancellation, live progress and checkpoint/resume; see
 /// [`Opts`]. Only checkpoint IO can fail.
@@ -1720,22 +1698,10 @@ pub fn run<M: Machine>(
     limits: Limits,
     opts: &Opts<'_>,
 ) -> Result<Exploration, CheckpointError> {
-    if limits.reduction == Reduction::Sleep {
-        return match FutureTable::new(prog) {
-            Some(table) => run_sleep(machine, prog, limits, &table, opts),
-            None => run(machine, prog, Limits { reduction: Reduction::Full, ..limits }, opts),
-        };
-    }
     let (sink, snap) = CkptSink::open(opts.checkpoint, machine.name(), prog, &limits)?;
     let workers = limits.resolved_threads();
     let mut engine = Engine::new(machine, prog, limits, workers, opts);
-    let frontier = match snap {
-        None => None,
-        Some(Snapshot::Parallel(p)) => Some(engine.restore(p)),
-        Some(other) => {
-            return Err(CheckpointError::EngineMismatch { expected: 0, found: other.engine_byte() })
-        }
-    };
+    let frontier = snap.map(|s| engine.restore(s));
     if let Some(sink) = sink {
         engine = engine.with_checkpointing(sink);
     }
@@ -1778,8 +1744,7 @@ fn run_workers<M: Machine>(engine: &Engine<'_, M>, workers: usize) -> Vec<Worker
 /// Kept alongside [`run`] for differential testing — the parallel
 /// engine must produce identical `outcomes`, `states`, and `deadlocks`
 /// — and as the same-run baseline of the explorer benchmarks. Honors
-/// only `max_states` and the ample sets of `reduction` (`Sleep` is
-/// treated as `Ample`).
+/// only `max_states` and `reduction`.
 pub fn explore_seq<M: Machine>(machine: &M, prog: &Program, limits: Limits) -> Exploration {
     let started = Instant::now();
     let initial = machine.initial(prog);
@@ -1794,7 +1759,7 @@ pub fn explore_seq<M: Machine>(machine: &M, prog: &Program, limits: Limits) -> E
     let mut pruned_arcs = 0u64;
     let reduction = match limits.reduction {
         Reduction::Full => None,
-        Reduction::Ample | Reduction::Sleep => FutureTable::new(prog),
+        Reduction::Ample => FutureTable::new(prog),
     };
     visited.insert(initial.clone());
     stack.push(initial);

@@ -4,23 +4,16 @@
 //! transition, but most interleavings of *non-conflicting* transitions
 //! — exactly the structure the paper's conflict predicate formalizes —
 //! reach the same states along permuted paths. This module prunes those
-//! redundant paths with the two classic, complementary techniques:
+//! redundant paths with **persistent (ample) sets** ([`ample_index`],
+//! selected by [`Reduction::Ample`](crate::Reduction::Ample)): at each
+//! state, if some enabled transition `t` is provably independent of
+//! *every* transition any `t`-avoiding execution can take, then
+//! exploring `t` alone (a singleton persistent set) preserves every
+//! reachable deadlock — and therefore every terminal state and outcome,
+//! since terminal states have no enabled transitions.
 //!
-//! * **Persistent (ample) sets** ([`ample_index`]): at each state, if
-//!   some enabled transition `t` is provably independent of *every*
-//!   transition any `t`-avoiding execution can take, then exploring `t`
-//!   alone (a singleton persistent set) preserves every reachable
-//!   deadlock — and therefore every terminal state and outcome, since
-//!   terminal states have no enabled transitions. This prunes *states*.
-//! * **Sleep sets** ([`run_sleep`], selected by
-//!   [`Reduction::Sleep`](crate::Reduction::Sleep)): after exploring
-//!   sibling `u` from state `s`, any path through an independent
-//!   sibling `t` need not re-explore `u` immediately (the `ut`/`tu`
-//!   diamond commutes). This prunes redundant *arcs* between states
-//!   the search keeps.
-//!
-//! Both rest on one independence relation derived from the machines'
-//! self-description ([`ReductionClass`]): transitions of the same
+//! Independence is derived from the machines' self-description
+//! ([`ReductionClass`](crate::ReductionClass)): transitions of the same
 //! processor are dependent (program order), transitions touching a
 //! common location are dependent (the conflict predicate), and a
 //! machine's synchronization gating adds dependences between syncs and
@@ -44,21 +37,10 @@
 //! sync access cannot occur while the message is pending at all, which
 //! is what collapses delivery interleavings on sync-heavy workloads.
 
-use std::collections::{BTreeSet, HashMap};
-use std::time::{Duration, Instant};
-
 use weakord_core::Loc;
-use weakord_progs::{Instr, Outcome, Program, ThreadState};
+use weakord_progs::{Instr, Program, ThreadState};
 
-use crate::checkpoint::{CheckpointError, Codec, PersistedCounters, ReducedSnapshot, Snapshot};
-use crate::explore::{
-    CancelToken, CkptSink, Exploration, ExplorationStats, Limits, Opts, ProgressSnapshot,
-    TruncationReason, PROGRESS_CHECK_EVERY,
-};
-use crate::fxhash::FxBuildHasher;
-use crate::machine::{
-    DeliveryClass, Footprint, InternalKind, Label, Machine, ReductionClass, SyncGate,
-};
+use crate::machine::{DeliveryClass, InternalKind, Label, Machine, SyncGate};
 
 fn bit(loc: Loc) -> u128 {
     1u128 << loc.index()
@@ -333,354 +315,19 @@ pub(crate) fn ample_index<M: Machine>(
     None
 }
 
-/// The pairwise independence test driving the sleep sets: `true` when
-/// the two transitions may fail to commute (or one may disable the
-/// other), judged by footprints alone. Conservative in every direction
-/// that matters — a spurious `true` only loses reduction.
-fn sleep_dependent(class: ReductionClass, table: &FutureTable, a: Footprint, b: Footprint) -> bool {
-    if a.proc == b.proc {
-        return true; // program order / same queue
-    }
-    if let (Some(x), Some(y)) = (a.loc, b.loc) {
-        if x == y {
-            return true; // the conflict predicate (conservatively even read/read)
-        }
-    }
-    if a.sync && b.sync {
-        return true; // both may gate on global queue state
-    }
-    // A sync may stall on messages a thread write queues. Queue
-    // *services* (internal steps) only shrink queues — they enable
-    // syncs, never disable them — so they are exempt.
-    let gates = |s: Footprint, w: Footprint| {
-        s.sync
-            && w.writes
-            && !w.internal
-            && match class.sync_gate {
-                SyncGate::None => false,
-                SyncGate::GlobalDrain => true,
-                SyncGate::ReserveOwner => {
-                    // `w`'s processor can stall `s` only if it can own
-                    // `s`'s location, i.e. ever syncs on it.
-                    s.loc.is_some_and(|m| table.prog_sync(w.proc.index()) & bit(m) != 0)
-                }
-            }
-    };
-    gates(a, b) || gates(b, a)
-}
-
-/// The sleep-set engine behind [`Reduction::Sleep`](crate::Reduction::Sleep):
-/// a sequential DFS in which singleton persistent (ample) sets prune
-/// states and sleep sets prune residual redundant arcs.
-///
-/// Produces the *identical* outcome set and deadlock count as the full
-/// engines on any program (persistent-set search preserves all states
-/// without enabled transitions, which is exactly the terminal and
-/// deadlocked states), while visiting a subset of the states. `states`
-/// and `stats` therefore differ from the full engines' — compare
-/// semantics, not sizes. Truncated runs are lower bounds, exactly as
-/// for the full engines.
-///
-/// Between stack pops the search holds no in-flight state, so every
-/// loop top is a safepoint: the periodic checkpoint, the deadline, the
-/// cancel token and the progress sample are all taken there. The
-/// search being a deterministic function of (visited, stack) is what
-/// makes kill-at-a-checkpoint + resume equivalent to an uninterrupted
-/// run: the snapshot restores the exact visited map (with each state's
-/// sleep set) and the exact stack.
-pub(crate) fn run_sleep<M: Machine>(
-    machine: &M,
-    prog: &Program,
-    limits: Limits,
-    table: &FutureTable,
-    opts: &Opts<'_>,
-) -> Result<Exploration, CheckpointError> {
-    let started = Instant::now();
-    let (sink, snap) = CkptSink::open(opts.checkpoint, machine.name(), prog, &limits)?;
-    let mut st = match snap {
-        None => ReducedSearch::fresh(machine.initial(prog)),
-        Some(Snapshot::Reduced(r)) => ReducedSearch::from_snapshot(r),
-        Some(other) => {
-            return Err(CheckpointError::EngineMismatch { expected: 1, found: other.engine_byte() })
-        }
-    };
-    let class = machine.reduction_class();
-    let deadline_at = limits.deadline.map(|d| started + d);
-    let mut truncation = None;
-    let mut next_at = match &sink {
-        Some(c) if c.cfg.every != 0 => st.visited.len() + c.cfg.every,
-        _ => usize::MAX,
-    };
-    let mut written_this_leg = 0u32;
-    let mut until_progress_check = PROGRESS_CHECK_EVERY;
-    let mut succ: Vec<(Label, M::State)> = Vec::new();
-    'search: loop {
-        if let Some(c) = sink.filter(|_| st.visited.len() >= next_at) {
-            st.save(&c, None, started)?;
-            written_this_leg += 1;
-            next_at = st.visited.len() + c.cfg.every;
-            if c.cfg.abort_after.is_some_and(|k| written_this_leg >= k) {
-                truncation = Some(TruncationReason::Resumable);
-                break 'search;
-            }
-        }
-        if opts.cancel.is_some_and(CancelToken::is_cancelled) {
-            truncation = Some(TruncationReason::Cancelled);
-            break 'search;
-        }
-        if let Some(deadline) = deadline_at {
-            let now = Instant::now();
-            if now >= deadline {
-                let over = now.saturating_duration_since(deadline).as_nanos();
-                st.overshoot_nanos = st.overshoot_nanos.max(over.min(u128::from(u64::MAX)) as u64);
-                truncation = Some(TruncationReason::Deadline);
-                break 'search;
-            }
-        }
-        if let Some(p) = opts.progress {
-            until_progress_check -= 1;
-            if until_progress_check == 0 {
-                until_progress_check = PROGRESS_CHECK_EVERY;
-                p.tick(|| st.progress_sample(started));
-            }
-        }
-        let Some((state, mut sleep)) = st.stack.pop() else { break };
-        // Re-reaching a state with a sleep set that is *not* a superset
-        // of the stored one means some transition was slept before but
-        // must be explored now: re-expand with the intersection
-        // (Godefroid's state-matching rule).
-        let first_visit = match st.visited.get_mut(&state) {
-            None => {
-                if st.visited.len() >= limits.max_states {
-                    truncation = Some(TruncationReason::MaxStates);
-                    // Keep the popped state recoverable in the final
-                    // checkpoint's stack (mirrors the parallel engine's
-                    // requeue-on-truncation).
-                    st.stack.push((state, sleep));
-                    break 'search;
-                }
-                st.visited.insert(state.clone(), sleep.clone());
-                true
-            }
-            Some(stored) => {
-                st.dedup_hits += 1;
-                if stored.iter().all(|l| sleep.contains(l)) {
-                    continue; // prior expansion covered at least this much
-                }
-                stored.retain(|l| sleep.contains(l));
-                sleep = stored.clone();
-                false
-            }
-        };
-        if let Some(outcome) = machine.outcome(prog, &state) {
-            if first_visit {
-                st.outcomes.insert(outcome);
-            }
-            continue;
-        }
-        succ.clear();
-        machine.successors(prog, &state, &mut succ);
-        if succ.is_empty() {
-            if first_visit {
-                st.deadlocks += 1;
-            }
-            continue;
-        }
-        if let Some(keep) = ample_index(machine, &state, &succ, table) {
-            st.pruned_arcs += succ.len() as u64 - 1;
-            succ.swap(0, keep);
-            succ.truncate(1);
-        }
-        // Sleep sets are keyed by `Label` value; a label shared by two
-        // distinct enabled transitions (e.g. two pending deliveries of
-        // different versions of the same line) must neither be pruned
-        // by nor enter a sleep set, or the two would be conflated.
-        let unique = |label: &Label| succ.iter().filter(|(l, _)| l == label).count() == 1;
-        let uniq: Vec<bool> = succ.iter().map(|(l, _)| unique(l)).collect();
-        let mut explored: Vec<Label> = Vec::new();
-        for (k, (label, next)) in succ.drain(..).enumerate() {
-            if uniq[k] && sleep.contains(&label) {
-                st.pruned_arcs += 1;
-                continue;
-            }
-            st.dedup_probes += 1;
-            let fp = label.footprint();
-            let child_sleep: Vec<Label> = sleep
-                .iter()
-                .chain(explored.iter())
-                .filter(|u| !sleep_dependent(class, table, u.footprint(), fp))
-                .copied()
-                .collect();
-            st.stack.push((next, child_sleep));
-            st.peak_frontier = st.peak_frontier.max(st.stack.len());
-            if uniq[k] {
-                explored.push(label);
-            }
-        }
-    }
-    if let Some(c) = &sink {
-        // Final save: deadline/cap-truncated, cancelled, suspended, and
-        // even completed runs all leave a resumable (or verifiable)
-        // image.
-        st.save(c, truncation, started)?;
-    }
-    if let Some(p) = opts.progress {
-        p.publish(&st.progress_sample(started));
-    }
-    let stats = ExplorationStats {
-        distinct_states: st.visited.len(),
-        duration: Duration::from_nanos(st.base_elapsed_nanos) + started.elapsed(),
-        dedup_hits: st.dedup_hits,
-        dedup_probes: st.dedup_probes,
-        peak_frontier: st.peak_frontier,
-        threads: 1,
-        steals: 0,
-        pruned_arcs: st.pruned_arcs,
-        truncation,
-        worker_panics: 0,
-        deadline_overshoot: Duration::from_nanos(st.overshoot_nanos),
-        checkpoints: st.checkpoints,
-        checkpoint_time: Duration::from_nanos(st.ckpt_write_nanos),
-        probe_steps: 0,
-        table_capacity: 0,
-        spilled_states: 0,
-        spill_bytes: 0,
-        mem_bytes: 0,
-        shard_states: None,
-    };
-    Ok(Exploration {
-        outcomes: st.outcomes,
-        states: stats.distinct_states,
-        deadlocks: st.deadlocks,
-        truncation,
-        stats,
-    })
-}
-
-/// The resumable portion of the reduced search: everything the DFS
-/// needs to continue, plus the durable counters a checkpoint carries.
-struct ReducedSearch<S> {
-    /// State → the sleep set it was last expanded with (Godefroid's
-    /// state-matching rule; see the loop body).
-    visited: HashMap<S, Vec<Label>, FxBuildHasher>,
-    /// DFS stack of (state, sleep set), bottom first.
-    stack: Vec<(S, Vec<Label>)>,
-    outcomes: BTreeSet<Outcome>,
-    deadlocks: usize,
-    dedup_hits: u64,
-    dedup_probes: u64,
-    pruned_arcs: u64,
-    peak_frontier: usize,
-    /// Worst observed deadline overshoot, across all legs.
-    overshoot_nanos: u64,
-    /// Wall-clock nanos accumulated by previous legs of this run.
-    base_elapsed_nanos: u64,
-    /// Checkpoints written across all legs.
-    checkpoints: u32,
-    /// Nanos spent writing checkpoints, across all legs.
-    ckpt_write_nanos: u64,
-}
-
-impl<S: Codec + std::hash::Hash + Eq + Clone> ReducedSearch<S> {
-    fn fresh(initial: S) -> Self {
-        ReducedSearch {
-            visited: HashMap::default(),
-            stack: vec![(initial, Vec::new())],
-            outcomes: BTreeSet::new(),
-            deadlocks: 0,
-            dedup_hits: 0,
-            dedup_probes: 0,
-            pruned_arcs: 0,
-            peak_frontier: 0,
-            overshoot_nanos: 0,
-            base_elapsed_nanos: 0,
-            checkpoints: 0,
-            ckpt_write_nanos: 0,
-        }
-    }
-
-    fn from_snapshot(snap: ReducedSnapshot<S>) -> Self {
-        ReducedSearch {
-            visited: snap.visited.into_iter().collect(),
-            stack: snap.stack,
-            outcomes: snap.outcomes,
-            deadlocks: usize::try_from(snap.deadlocks).unwrap_or(usize::MAX),
-            dedup_hits: snap.counters.dedup_hits,
-            dedup_probes: snap.counters.dedup_probes,
-            pruned_arcs: snap.counters.pruned_arcs,
-            peak_frontier: usize::try_from(snap.counters.peak_frontier).unwrap_or(usize::MAX),
-            overshoot_nanos: snap.counters.overshoot_nanos,
-            base_elapsed_nanos: snap.counters.elapsed_nanos,
-            checkpoints: snap.counters.checkpoints,
-            ckpt_write_nanos: snap.counters.ckpt_write_nanos,
-        }
-    }
-
-    fn elapsed_nanos(&self, started: Instant) -> u64 {
-        self.base_elapsed_nanos + started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-    }
-
-    fn counters(&self, started: Instant) -> PersistedCounters {
-        PersistedCounters {
-            distinct: self.visited.len() as u64,
-            dedup_hits: self.dedup_hits,
-            dedup_probes: self.dedup_probes,
-            pruned_arcs: self.pruned_arcs,
-            steals: 0,
-            peak_frontier: self.peak_frontier as u64,
-            elapsed_nanos: self.elapsed_nanos(started),
-            checkpoints: self.checkpoints,
-            ckpt_write_nanos: self.ckpt_write_nanos,
-            worker_panics: 0,
-            overshoot_nanos: self.overshoot_nanos,
-        }
-    }
-
-    /// The search's counters as a progress sample; the stack depth is
-    /// the `frontier` gauge.
-    fn progress_sample(&self, started: Instant) -> ProgressSnapshot {
-        ProgressSnapshot {
-            states: self.visited.len() as u64,
-            frontier: self.stack.len() as u64,
-            dedup_hits: self.dedup_hits,
-            dedup_probes: self.dedup_probes,
-            pruned_arcs: self.pruned_arcs,
-            elapsed: Duration::from_nanos(self.elapsed_nanos(started)),
-            ..ProgressSnapshot::default()
-        }
-    }
-
-    /// Writes one checkpoint of the (quiescent-between-pops) search.
-    fn save(
-        &mut self,
-        sink: &CkptSink<'_>,
-        truncation: Option<TruncationReason>,
-        started: Instant,
-    ) -> Result<(), CheckpointError> {
-        let wrote = Instant::now();
-        sink.write(&Snapshot::Reduced(ReducedSnapshot {
-            outcomes: self.outcomes.clone(),
-            deadlocks: self.deadlocks as u64,
-            counters: self.counters(started),
-            truncation,
-            visited: self.visited.iter().map(|(s, sl)| (s.clone(), sl.clone())).collect(),
-            stack: self.stack.clone(),
-        }))?;
-        self.ckpt_write_nanos += wrote.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.checkpoints += 1;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checkpoint::CheckpointCfg;
-    use crate::explore::{explore, explore_seq, run, Checkpoint, ProgressSink, Reduction};
+    use crate::explore::{
+        explore, explore_seq, run, CancelToken, Checkpoint, Limits, Opts, ProgressSink,
+        TruncationReason,
+    };
     use crate::machines::{
         BnrMachine, CacheDelayMachine, NetReorderMachine, ScMachine, WoDef1Machine, WoDef2Machine,
         WriteBufferMachine,
     };
+    use std::time::Duration;
     use weakord_progs::{litmus, ThreadBuilder};
 
     #[test]
@@ -729,7 +376,7 @@ mod tests {
     fn reduced_matches_full_on_the_litmus_suite() {
         fn check<M: Machine>(machine: &M, prog: &Program) {
             let full = explore_seq(machine, prog, Limits::default());
-            let red = explore(machine, prog, Limits::with_reduction(Reduction::Sleep));
+            let red = explore(machine, prog, Limits::reduced());
             assert!(!full.truncated() && !red.truncated());
             assert_eq!(red.outcomes, full.outcomes, "{} × {}", machine.name(), prog.name);
             assert_eq!(red.deadlocks, full.deadlocks, "{} × {}", machine.name(), prog.name);
@@ -764,7 +411,6 @@ mod tests {
         for reduced in [
             explore_seq(&machine, &lit.program, Limits::reduced()),
             explore(&machine, &lit.program, Limits { threads: 4, ..Limits::reduced() }),
-            explore(&machine, &lit.program, Limits::with_reduction(Reduction::Sleep)),
         ] {
             assert_eq!(reduced.outcomes, full.outcomes);
             assert_eq!(reduced.deadlocks, full.deadlocks);
@@ -789,16 +435,16 @@ mod tests {
         }
     }
 
-    /// The sleep-set engine honors every run option: a cancelled or
+    /// A reduced run honors every run option: a cancelled or
     /// zero-deadline run truncates with the matching reason and its
     /// final checkpoint resumes to the uninterrupted answer, and an
     /// attached progress sink receives samples without perturbing the
     /// result.
     #[test]
-    fn sleep_engine_honors_cancel_deadline_and_progress() {
+    fn reduced_runs_honor_cancel_deadline_and_progress() {
         let lit = litmus::iriw();
         let machine = WoDef2Machine::default();
-        let limits = Limits::with_reduction(Reduction::Sleep);
+        let limits = Limits { threads: 2, ..Limits::reduced() };
         let oracle = explore(&machine, &lit.program, limits);
         assert!(!oracle.truncated());
         let cancel = CancelToken::new();
@@ -809,7 +455,7 @@ mod tests {
             ("deadline", zero, None, TruncationReason::Deadline),
         ] {
             let dir =
-                std::env::temp_dir().join(format!("weakord-sleep-{tag}-{}", std::process::id()));
+                std::env::temp_dir().join(format!("weakord-ample-{tag}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let cfg = CheckpointCfg::every(&dir, 100);
             let opts = Opts { cancel, checkpoint: Checkpoint::Fresh(&cfg), ..Opts::default() };
@@ -827,14 +473,14 @@ mod tests {
         let last = sink.sample();
         assert!(last.seq > 0, "the sink was published to");
         assert_eq!(last.states as usize, oracle.states);
-        assert_eq!(last.frontier, 0, "a finished search has an empty stack");
+        assert_eq!(last.frontier, 0, "a finished search has an empty frontier");
     }
 
-    /// A program too wide for the footprint masks runs `Sleep` as
-    /// `Full`, and the switch happens before the fingerprint is taken on
-    /// both the save and the resume side, so a suspended run resumes.
+    /// A program too wide for the footprint masks runs `Ample`
+    /// unreduced, under the `Ample` fingerprint on both the save and the
+    /// resume side, so a suspended run resumes to the `Full` answer.
     #[test]
-    fn wide_programs_run_sleep_as_full_and_resume() {
+    fn wide_programs_run_ample_as_full_and_resume() {
         use weakord_progs::Reg;
         let (near, far) = (Loc::new(0), Loc::new(128));
         let mut t = ThreadBuilder::new();
@@ -848,15 +494,15 @@ mod tests {
         let prog = Program::new("wide", vec![t.finish(), u.finish()], 129).unwrap();
         assert!(FutureTable::new(&prog).is_none(), "129 locations exceed the masks");
         let full = explore(&WriteBufferMachine, &prog, Limits::default());
-        let sleep = Limits::with_reduction(Reduction::Sleep);
-        assert_eq!(explore(&WriteBufferMachine, &prog, sleep), full);
+        let ample = Limits { threads: 2, ..Limits::reduced() };
+        assert_eq!(explore(&WriteBufferMachine, &prog, ample), full);
         let dir = std::env::temp_dir().join(format!("weakord-wide-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut cfg = CheckpointCfg::every(&dir, 2);
         cfg.abort_after = Some(1);
         let leg = |checkpoint| {
             let opts = Opts { checkpoint, ..Opts::default() };
-            run(&WriteBufferMachine, &prog, sleep, &opts).expect("checkpoint round-trips")
+            run(&WriteBufferMachine, &prog, ample, &opts).expect("checkpoint round-trips")
         };
         let mut ex = leg(Checkpoint::Fresh(&cfg));
         assert_eq!(ex.truncation, Some(TruncationReason::Resumable));

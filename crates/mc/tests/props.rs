@@ -11,7 +11,7 @@ use weakord_mc::machines::{
     WriteBufferMachine,
 };
 use weakord_mc::visited::{Admit, VisitedSet};
-use weakord_mc::{check_program_drf, explore, explore_seq, Limits, Reduction, TraceLimits};
+use weakord_mc::{check_program_drf, explore, explore_seq, Limits, TraceLimits};
 use weakord_progs::gen::{race_free, racy, GenParams};
 use weakord_progs::Program;
 use weakord_sim::{check_cases, SimRng};
@@ -106,7 +106,7 @@ fn reduced_search_agrees_on_random_programs() {
         macro_rules! agree {
             ($m:expr) => {{
                 let full = explore_seq(&$m, &prog, Limits::default());
-                let red = explore(&$m, &prog, Limits::with_reduction(Reduction::Sleep));
+                let red = explore(&$m, &prog, Limits::reduced());
                 assert_eq!(
                     &red.outcomes,
                     &full.outcomes,
@@ -137,7 +137,7 @@ fn race_free_programs_shrink_strictly_somewhere() {
         macro_rules! shrinks {
             ($m:expr) => {{
                 let full = explore_seq(&$m, &prog, Limits::default());
-                let red = explore(&$m, &prog, Limits::with_reduction(Reduction::Sleep));
+                let red = explore(&$m, &prog, Limits::reduced());
                 red.states < full.states
             }};
         }

@@ -1,4 +1,5 @@
-//! A log2-bucketed latency histogram for the serve layer.
+//! A log2-bucketed latency histogram for the serve layer and the
+//! timed simulator's per-processor synchronization waits.
 //!
 //! Latencies span five orders of magnitude (a cache-hit reply is
 //! microseconds, a cold IRIW exploration is seconds), so linear buckets
@@ -7,7 +8,8 @@
 //! no allocation on the record path, and a lossless `merge` for folding
 //! per-worker histograms into a service-wide one.
 //!
-//! Values are unitless `u64`s — the serve layer records microseconds.
+//! Values are unitless `u64`s — the serve layer records microseconds,
+//! the simulator cycles.
 //! Percentile reads return the *upper bound* of the bucket holding the
 //! requested rank, so reported numbers are conservative (never under-
 //! state a latency) and byte-stable across runs that land in the same
@@ -146,6 +148,20 @@ impl Histogram {
     }
 }
 
+impl std::fmt::Display for Histogram {
+    /// One summary line: `n=… mean=… p50=… p95=… p99=… max=…`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (p50, p95, p99) = self.quantile_summary();
+        write!(
+            f,
+            "n={} mean={:.1} p50={p50} p95={p95} p99={p99} max={}",
+            self.count,
+            self.mean(),
+            self.max
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,7 +170,9 @@ mod tests {
     fn empty_histogram_reads_zero() {
         let h = Histogram::new();
         assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
         assert_eq!(h.percentile(50.0), 0);
+        assert_eq!(h.percentile(99.0), 0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
@@ -206,6 +224,47 @@ mod tests {
         assert_eq!(h.max(), u64::MAX);
         assert_eq!(h.percentile(1.0), 0, "the first rank is the zero");
         assert_eq!(h.percentile(100.0), u64::MAX);
+    }
+
+    #[test]
+    fn small_samples_sum_and_average_exactly() {
+        let mut h = Histogram::new();
+        for v in [0, 1, 2, 4, 9] {
+            h.record(v);
+        }
+        assert_eq!(h.count(), 5);
+        assert_eq!((h.min(), h.max(), h.sum()), (0, 9, 16));
+        assert!((h.mean() - 3.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn an_outlier_moves_only_the_top_percentile() {
+        let mut h = Histogram::new();
+        for _ in 0..99 {
+            h.record(4);
+        }
+        h.record(1000);
+        // Ranks 1..=99 are `4`s, in the 4..=7 bucket → reported as 7.
+        assert_eq!(h.quantile_summary(), (7, 7, 7));
+        assert_eq!(h.percentile(100.0), 1000);
+    }
+
+    #[test]
+    fn all_zero_samples_read_zero() {
+        let mut h = Histogram::new();
+        for _ in 0..10 {
+            h.record(0);
+        }
+        assert_eq!(h.percentile(50.0), 0);
+        assert_eq!(h.percentile(100.0), 0);
+    }
+
+    #[test]
+    fn display_prints_one_summary_line() {
+        let mut h = Histogram::new();
+        h.record(4);
+        h.record(8);
+        assert_eq!(h.to_string(), "n=2 mean=6.0 p50=7 p95=8 p99=8 max=8");
     }
 
     #[test]

@@ -65,14 +65,11 @@ pub fn run_attempt(
         if vfs.exists(&cfg.file()) {
             match run(&m, prog, limits, &opts(Checkpoint::Resume(&cfg))) {
                 Ok(ex) => return Ok(ex),
-                // A config/engine mismatch cannot be recomputed away —
-                // the id *is* the fingerprint, so this is a real bug or
-                // a tampered state dir. Everything else (unreadable,
+                // A config mismatch cannot be recomputed away — the id
+                // *is* the fingerprint, so this is a real bug or a
+                // tampered state dir. Everything else (unreadable,
                 // torn, corrupt) demotes to a fresh start.
-                Err(
-                    e @ (CheckpointError::ConfigMismatch { .. }
-                    | CheckpointError::EngineMismatch { .. }),
-                ) => return Err(e),
+                Err(e @ CheckpointError::ConfigMismatch { .. }) => return Err(e),
                 Err(_) => {
                     cleanup_file(&**vfs, &cfg.file());
                 }

@@ -4,7 +4,8 @@
 //! a future-event list with FIFO tie-breaking ([`EventQueue`]), seeded
 //! randomness ([`SimRng`]), interconnect latency models
 //! ([`Interconnect`]: [`AtomicBus`], [`Crossbar`], [`GeneralNet`]) and
-//! statistics ([`Counters`], [`Histogram`]).
+//! named [`Counters`]. Latency distributions use
+//! `weakord_obs::Histogram`.
 //!
 //! Everything is single-threaded and deterministic in the seed, so every
 //! experiment in the repository reproduces exactly.
@@ -40,5 +41,5 @@ pub use fault::{Delivery, FaultPlan};
 pub use network::{AtomicBus, CongestedNet, Crossbar, GeneralNet, Interconnect, Mesh};
 pub use node::NodeId;
 pub use rng::{check_cases, SimRng};
-pub use stats::{Counters, Histogram};
+pub use stats::Counters;
 pub use time::Cycle;

@@ -1,9 +1,9 @@
-//! Lightweight simulation statistics: named counters and a latency
-//! histogram.
+//! Lightweight simulation statistics: named counters.
 //!
-//! Both bags know how to [`Counters::export`] themselves into the
-//! unified [`MetricsRegistry`](weakord_obs::MetricsRegistry), which is
-//! the namespaced facade the CLI and bench harness read.
+//! The bag knows how to [`Counters::export`] itself into the unified
+//! [`MetricsRegistry`](weakord_obs::MetricsRegistry), which is the
+//! namespaced facade the CLI and bench harness read. Latency
+//! distributions use `weakord_obs::Histogram`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -70,111 +70,6 @@ impl fmt::Display for Counters {
     }
 }
 
-/// A power-of-two bucketed histogram of `u64` samples (latencies,
-/// queue depths).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Histogram {
-    /// `buckets[i]` counts samples in `[2^(i-1), 2^i)` (bucket 0 counts
-    /// zeros and ones).
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: u64) {
-        let bucket = (64 - sample.leading_zeros()) as usize;
-        if self.buckets.len() <= bucket {
-            self.buckets.resize(bucket + 1, 0);
-        }
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum += sample;
-        self.max = self.max.max(sample);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Largest sample seen.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// The `p`-th percentile (0–100), approximated from the
-    /// power-of-two buckets: the answer is the inclusive upper bound of
-    /// the bucket holding the rank-`⌈p·n/100⌉` sample, clamped to the
-    /// true maximum. Exact for p=100; within a factor of two below the
-    /// true value otherwise — good enough to separate "tail is the
-    /// mean" from "tail is 100× the mean" in the bench tables.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let rank = rank.min(self.count);
-        let mut seen = 0u64;
-        for (i, n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                // Bucket 0 holds only zeros; bucket i holds [2^(i-1), 2^i).
-                let upper = if i == 0 { 0 } else { (1u64 << i) - 1 };
-                return upper.min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Exports summary statistics as gauges under the `ns.` prefix
-    /// (`ns.n`, `ns.mean`, `ns.p50`, `ns.p95`, `ns.p99`, `ns.max`).
-    pub fn export(&self, ns: &str, reg: &mut MetricsRegistry) {
-        reg.gauge(format!("{ns}.n"), self.count as f64);
-        reg.gauge(format!("{ns}.mean"), self.mean());
-        reg.gauge(format!("{ns}.p50"), self.percentile(50.0) as f64);
-        reg.gauge(format!("{ns}.p95"), self.percentile(95.0) as f64);
-        reg.gauge(format!("{ns}.p99"), self.percentile(99.0) as f64);
-        reg.gauge(format!("{ns}.max"), self.max as f64);
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.1} p50={} p95={} p99={} max={}",
-            self.count,
-            self.mean(),
-            self.percentile(50.0),
-            self.percentile(95.0),
-            self.percentile(99.0),
-            self.max
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,73 +94,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_statistics() {
-        let mut h = Histogram::new();
-        for s in [0, 1, 2, 4, 9] {
-            h.record(s);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.max(), 9);
-        assert_eq!(h.sum(), 16);
-        assert!((h.mean() - 3.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_histogram() {
-        let h = Histogram::new();
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.percentile(50.0), 0);
-        assert_eq!(h.percentile(99.0), 0);
-    }
-
-    #[test]
-    fn percentiles_bracket_the_distribution() {
-        let mut h = Histogram::new();
-        // 99 small samples and one huge outlier.
-        for _ in 0..99 {
-            h.record(4);
-        }
-        h.record(1000);
-        // p50/p95 land in the bucket holding 4 ([4, 8) → upper bound 7).
-        assert_eq!(h.percentile(50.0), 7);
-        assert_eq!(h.percentile(95.0), 7);
-        // p100 is exact; p99 still sits below the outlier's bucket here
-        // (rank 99 of 100 is a `4`).
-        assert_eq!(h.percentile(100.0), 1000);
-        assert_eq!(h.percentile(99.0), 7);
-        // Percentiles never exceed the true max.
-        let mut one = Histogram::new();
-        one.record(5);
-        assert_eq!(one.percentile(50.0), 5);
-        assert_eq!(one.percentile(99.0), 5);
-    }
-
-    #[test]
-    fn percentile_of_zeros_is_zero() {
-        let mut h = Histogram::new();
-        for _ in 0..10 {
-            h.record(0);
-        }
-        assert_eq!(h.percentile(50.0), 0);
-        assert_eq!(h.percentile(100.0), 0);
-    }
-
-    #[test]
     fn export_folds_into_the_registry() {
         let mut reg = weakord_obs::MetricsRegistry::new();
         let mut c = Counters::new();
         c.add("msgs", 7);
         c.export("sim", &mut reg);
         assert_eq!(reg.get("sim.msgs"), 7);
-
-        let mut h = Histogram::new();
-        h.record(4);
-        h.record(8);
-        h.export("sim.lat", &mut reg);
-        assert_eq!(reg.get_gauge("sim.lat.n"), Some(2.0));
-        assert_eq!(reg.get_gauge("sim.lat.max"), Some(8.0));
-        assert!(reg.get_gauge("sim.lat.p50").is_some());
     }
 }

@@ -5,10 +5,10 @@
 //! parallel engine at increasing worker counts, verifying that the
 //! semantic results are identical and printing each run's
 //! [`ExplorationStats`]. Each subject is then re-explored under
-//! partial-order reduction ([`Reduction::Sleep`], the sleep-set engine,
-//! and the [`Reduction::Ample`] knob in both other engines), asserting
-//! that the reduced searches reach the same outcome and deadlock sets
-//! while visiting fewer states.
+//! partial-order reduction ([`Limits::reduced`], the ample-set
+//! reduction, in both engines), asserting that the reduced search
+//! reaches the same outcome and deadlock sets while visiting fewer
+//! states.
 //!
 //! On a multicore host the large subject shows the parallel engine
 //! overtaking the DFS; on a single hardware thread it degrades to a
@@ -24,7 +24,7 @@
 //! ```
 
 use weakord::mc::machines::{BnrMachine, WoDef2Machine};
-use weakord::mc::{explore, explore_seq, Limits, Machine, Reduction};
+use weakord::mc::{explore, explore_seq, Limits, Machine};
 use weakord::progs::workloads::{spinlock, SpinlockParams};
 use weakord::progs::{litmus, Program};
 
@@ -63,10 +63,13 @@ fn report<M: Machine>(machine: &M, name: &str, prog: &Program, min_shrink: usize
         best = best.max(speedup);
         println!("  par x{threads:<2}   {}  ({speedup:.2}x vs seq)", par.stats);
     }
-    // Partial-order reduction: the sleep-set engine and the ample-only
-    // knob (in both engines) must reach exactly the reachable outcome
-    // and deadlock sets of the full search, in fewer states.
-    let red = explore(machine, prog, Limits::with_reduction(Reduction::Sleep));
+    // Partial-order reduction: the ample-set search must reach exactly
+    // the reachable outcome and deadlock sets of the full search, in
+    // fewer states, and the engine must agree with the reference DFS
+    // under the same reduction.
+    let red = explore(machine, prog, Limits { threads: 4, ..Limits::reduced() });
+    let red_seq = explore_seq(machine, prog, Limits::reduced());
+    assert_eq!(red, red_seq, "reduced engines must produce identical results");
     assert_eq!(red.outcomes, seq.outcomes, "reduction must preserve outcomes");
     assert_eq!(red.deadlocks, seq.deadlocks, "reduction must preserve deadlocks");
     assert!(red.states <= seq.states, "reduction must not grow the search");
@@ -76,16 +79,12 @@ fn report<M: Machine>(machine: &M, name: &str, prog: &Program, min_shrink: usize
         red.states,
         seq.states
     );
+    println!("  seq red. {}", red_seq.stats);
     println!(
-        "  reduced  {}  ({:.2}x fewer states)",
+        "  red. x4  {}  ({:.2}x fewer states)",
         red.stats,
         seq.states as f64 / red.states as f64
     );
-    let ample =
-        explore(machine, prog, Limits { reduction: Reduction::Ample, ..Limits::with_threads(4) });
-    assert_eq!(ample.outcomes, seq.outcomes, "ample knob must preserve outcomes");
-    assert_eq!(ample.deadlocks, seq.deadlocks, "ample knob must preserve deadlocks");
-    println!("  ample x4 {}", ample.stats);
     println!("  best parallel speedup: {best:.2}x");
     println!();
 }

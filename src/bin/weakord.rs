@@ -64,7 +64,7 @@ use weakord::mc::machines::{
 };
 use weakord::mc::{
     check_program_drf, explore, find_witness, run, shrink_witness, with_machine, Checkpoint,
-    CheckpointCfg, Exploration, Limits, Machine, Opts, ProgressSink, Reduction, TraceLimits,
+    CheckpointCfg, Exploration, Limits, Machine, Opts, ProgressSink, TraceLimits,
 };
 use weakord::obs::{chrome_trace, jsonl, Event, MemTracer, MetricsRegistry, Track};
 use weakord::progs::delay::delay_set;
@@ -208,8 +208,7 @@ witness interleaving on `{}` for the forbidden outcome:",
 const EXPLORE_USAGE: &str = "usage: weakord explore <litmus-name|file.litmus> [opts]\n\
  \u{20}opts: --machine sc|write-buffer|tso|pso|net-reorder|cache-delay|wo-def1|wo-def2\n\
  \u{20}                               machine to explore (default wo-def2)\n\
- \u{20}      --reduce                 partial-order reduction (sequential sleep-set engine;\n\
- \u{20}                               takes neither --threads nor --memory-budget)\n\
+ \u{20}      --reduce                 partial-order reduction (ample sets)\n\
  \u{20}      --threads N              worker threads (0 = all cores)\n\
  \u{20}      --max-states N           state cap\n\
  \u{20}      --memory-budget BYTES    visited-set RAM ceiling (K/M/G suffix ok);\n\
@@ -255,25 +254,12 @@ fn cmd_explore(rest: &[&str]) {
             exit(2);
         }
     }
-    if rest.contains(&"--reduce") {
-        if let Some(f) = ["--threads", "--memory-budget"].iter().find(|f| rest.contains(f)) {
-            eprintln!(
-                "{f} does not apply to --reduce: the sleep-set engine is sequential and keeps \
-                 its visited map in RAM\n{EXPLORE_USAGE}"
-            );
-            exit(2);
-        }
+    let mut limits = if rest.contains(&"--reduce") { Limits::reduced() } else { Limits::default() };
+    if let Some(t) = num_flag(rest, "--threads") {
+        limits.threads = t;
     }
-    let mut limits = if rest.contains(&"--reduce") {
-        Limits::with_reduction(Reduction::Sleep)
-    } else {
-        Limits::default()
-    };
-    if let Some(t) = flag(rest, "--threads") {
-        limits.threads = t.parse().expect("--threads takes a number");
-    }
-    if let Some(n) = flag(rest, "--max-states") {
-        limits.max_states = n.parse().expect("--max-states takes a number");
+    if let Some(n) = num_flag(rest, "--max-states") {
+        limits.max_states = n;
     }
     if let Some(b) = flag(rest, "--memory-budget") {
         limits.memory_budget = Some(parse_bytes(&b).unwrap_or_else(|| {
@@ -341,11 +327,10 @@ fn explore_cli<M: Machine>(m: &M, prog: &Program, limits: Limits, rest: &[&str])
     let heartbeat = rest.contains(&"--progress").then(spawn_heartbeat);
     let cfg = flag(rest, "--checkpoint").map(|dir| {
         let mut cfg = CheckpointCfg::new(dir);
-        if let Some(n) = flag(rest, "--checkpoint-every") {
-            cfg.every = n.parse().expect("--checkpoint-every takes a number");
+        if let Some(n) = num_flag(rest, "--checkpoint-every") {
+            cfg.every = n;
         }
-        cfg.abort_after =
-            flag(rest, "--abort-after").map(|n| n.parse().expect("--abort-after takes a number"));
+        cfg.abort_after = num_flag(rest, "--abort-after");
         cfg
     });
     let checkpoint = match &cfg {
@@ -466,7 +451,7 @@ const CORPUS_USAGE: &str = "usage: weakord corpus [opts]\n\
 fn cmd_corpus(rest: &[&str]) {
     maybe_help(rest, CORPUS_USAGE);
     use weakord::progs::gen::{corpus, predicts_weak, ModelClass};
-    let seed = flag(rest, "--seed").map_or(0, |s| s.parse().expect("--seed takes a number"));
+    let seed = num_flag(rest, "--seed").unwrap_or(0);
     let mut shapes = corpus(seed);
     if let Some(family) = flag(rest, "--family") {
         shapes.retain(|s| s.family == family);
@@ -490,9 +475,9 @@ fn cmd_corpus(rest: &[&str]) {
         eprintln!("wrote {} shapes to {dir}/", shapes.len());
         return;
     }
-    let mut limits = Limits::with_reduction(Reduction::Sleep);
-    if let Some(n) = flag(rest, "--max-states") {
-        limits.max_states = n.parse().expect("--max-states takes a number");
+    let mut limits = Limits::reduced();
+    if let Some(n) = num_flag(rest, "--max-states") {
+        limits.max_states = n;
     }
     let check = rest.contains(&"--check");
     println!(
@@ -758,6 +743,17 @@ fn flag(rest: &[&str], name: &str) -> Option<String> {
     rest.iter().position(|a| *a == name).and_then(|i| rest.get(i + 1)).map(|s| s.to_string())
 }
 
+/// The value of numeric flag `name`, if given. A value that does not
+/// parse is a usage error: one line naming the flag, exit 2.
+fn num_flag<T: std::str::FromStr>(rest: &[&str], name: &str) -> Option<T> {
+    flag(rest, name).map(|s| {
+        s.parse().unwrap_or_else(|_| {
+            eprintln!("{name} takes a number");
+            exit(2);
+        })
+    })
+}
+
 /// Resolves a workload name from `weakord run`/`weakord stats` into a program.
 fn workload_program(name: &str) -> Option<Program> {
     Some(match name {
@@ -787,7 +783,7 @@ fn run_config(rest: &[&str]) -> Config {
             exit(2);
         }
     };
-    let seed = flag(rest, "--seed").map_or(1, |s| s.parse().expect("--seed takes a number"));
+    let seed = num_flag(rest, "--seed").unwrap_or(1);
     let network = match flag(rest, "--net").as_deref() {
         None | Some("general") => NetModel::General { min: 20, max: 60 },
         Some("bus") => NetModel::Bus { cycles: 4 },
@@ -801,12 +797,11 @@ fn run_config(rest: &[&str]) -> Config {
             exit(2);
         }
     };
-    let cache_lines = flag(rest, "--cache").map(|s| s.parse().expect("--cache takes a number"));
-    let memory_banks =
-        flag(rest, "--banks").map_or(1, |s| s.parse().expect("--banks takes a number"));
+    let cache_lines = num_flag(rest, "--cache");
+    let memory_banks = num_flag(rest, "--banks").unwrap_or(1);
     let no_forwarding = rest.contains(&"--no-forwarding");
-    let migration = flag(rest, "--migrate-at")
-        .map(|s| Migration { thread: 0, at_cycle: s.parse().expect("--migrate-at takes a cycle") });
+    let migration =
+        num_flag(rest, "--migrate-at").map(|at_cycle| Migration { thread: 0, at_cycle });
     let faults = fault_plan(rest, seed);
     Config {
         policy,
@@ -960,8 +955,7 @@ fn fault_plan(rest: &[&str], seed: u64) -> FaultPlan {
             })
         })
     };
-    let fault_seed = flag(rest, "--fault-seed")
-        .map_or(seed, |s| s.parse().expect("--fault-seed takes a number"));
+    let fault_seed = num_flag(rest, "--fault-seed").unwrap_or(seed);
     FaultPlan::with_rates(
         fault_seed,
         rate("--drop-rate"),
@@ -983,7 +977,7 @@ fn cmd_faults(rest: &[&str]) {
          Rates are permille. Sweeps the litmus suite under injected faults and\n\
          checks DRF0 programs differentially against the exhaustive SC explorer.",
     );
-    let seed = flag(rest, "--seed").map_or(0xFA01, |s| s.parse().expect("--seed takes a number"));
+    let seed = num_flag(rest, "--seed").unwrap_or(0xFA01);
     let policy = match flag(rest, "--policy").as_deref() {
         None | Some("queue") => Policy::def2(),
         Some("nack") => Policy::def2_nack(),
@@ -992,12 +986,11 @@ fn cmd_faults(rest: &[&str]) {
             exit(2);
         }
     };
-    let schedules: u64 =
-        flag(rest, "--schedules").map_or(8, |s| s.parse().expect("--schedules takes a number"));
-    let drop = flag(rest, "--drop-rate").map_or(40, |s| s.parse().expect("permille"));
-    let dup = flag(rest, "--dup-rate").map_or(40, |s| s.parse().expect("permille"));
-    let reorder = flag(rest, "--reorder-rate").map_or(60, |s| s.parse().expect("permille"));
-    let spike = flag(rest, "--spike-rate").map_or(20, |s| s.parse().expect("permille"));
+    let schedules: u64 = num_flag(rest, "--schedules").unwrap_or(8);
+    let drop = num_flag(rest, "--drop-rate").unwrap_or(40);
+    let dup = num_flag(rest, "--dup-rate").unwrap_or(40);
+    let reorder = num_flag(rest, "--reorder-rate").unwrap_or(60);
+    let spike = num_flag(rest, "--spike-rate").unwrap_or(20);
     println!(
         "fault sweep under {} (seed {seed}, {schedules} schedules, drop {drop}\u{2030} dup {dup}\u{2030} reorder {reorder}\u{2030} spike {spike}\u{2030})",
         policy.name()
@@ -1102,14 +1095,7 @@ fn cmd_serve(rest: &[&str]) {
     if let Some(dir) = flag(rest, "--state-dir") {
         cfg.state_dir = dir.into();
     }
-    let num = |name: &str, dflt: usize| {
-        flag(rest, name).map_or(dflt, |s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("{name} takes a number");
-                exit(2);
-            })
-        })
-    };
+    let num = |name: &str, dflt: usize| num_flag(rest, name).unwrap_or(dflt);
     cfg.workers = num("--workers", cfg.workers);
     cfg.job_threads = num("--job-threads", cfg.job_threads);
     cfg.max_queue = num("--max-queue", cfg.max_queue);

@@ -224,18 +224,17 @@ const EXPECTED_SUBSET: [[bool; 5]; 5] = [
 ];
 
 fn grid_outcome_sets(prog: &Program) -> [std::collections::BTreeSet<weakord::progs::Outcome>; 5] {
-    use weakord::mc::Reduction;
-    let sleep = Limits::with_reduction(Reduction::Sleep);
+    let reduced = Limits::reduced();
     let run = |ex: weakord::mc::Exploration| {
         assert!(ex.truncation.is_none(), "{} truncated", prog.name);
         ex.outcomes
     };
     [
-        run(explore(&ScMachine, prog, sleep)),
-        run(explore(&WriteBufferMachine, prog, sleep)),
-        run(explore(&TsoMachine, prog, sleep)),
-        run(explore(&PsoMachine, prog, sleep)),
-        run(explore(&WoDef2Machine::default(), prog, sleep)),
+        run(explore(&ScMachine, prog, reduced)),
+        run(explore(&WriteBufferMachine, prog, reduced)),
+        run(explore(&TsoMachine, prog, reduced)),
+        run(explore(&PsoMachine, prog, reduced)),
+        run(explore(&WoDef2Machine::default(), prog, reduced)),
     ]
 }
 
@@ -335,13 +334,13 @@ fn containment_grid_holds_on_the_full_corpus() {
 #[test]
 fn drf_corpus_shapes_appear_sc_on_every_sync_honoring_machine() {
     use weakord::mc::machines::BnrMachine;
-    use weakord::mc::{Machine, Reduction};
-    let sleep = Limits::with_reduction(Reduction::Sleep);
+    use weakord::mc::Machine;
+    let reduced = Limits::reduced();
     for shape in gen::corpus(0).iter().filter(|s| s.drf) {
-        let sc = explore(&ScMachine, &shape.program, sleep).outcomes;
+        let sc = explore(&ScMachine, &shape.program, reduced).outcomes;
         macro_rules! check {
             ($m:expr) => {
-                let got = explore(&$m, &shape.program, sleep).outcomes;
+                let got = explore(&$m, &shape.program, reduced).outcomes;
                 assert_eq!(
                     got,
                     sc,

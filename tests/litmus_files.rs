@@ -121,7 +121,7 @@ fn conformance_matrix_on_every_machine_full_and_reduced() {
         BnrMachine, CacheDelayMachine, NetReorderMachine, PsoMachine, TsoMachine, WoDef1Machine,
         WoDef2Machine, WriteBufferMachine,
     };
-    use weakord::mc::{Machine, Reduction};
+    use weakord::mc::Machine;
     use weakord::progs::{Outcome, Program, Reg};
 
     // Machine order: sc, write-buffer, tso, pso, net-reorder,
@@ -142,13 +142,6 @@ fn conformance_matrix_on_every_machine_full_and_reduced() {
             let ex = explore(m, prog, limits);
             assert!(!ex.truncated(), "{} truncated on `{}`", m.name(), prog.name);
             assert_eq!(ex.deadlocks, 0, "{} deadlocked on `{}`", m.name(), prog.name);
-            if reduce {
-                // The dedicated sleep-set engine must agree with the
-                // ample-only knob exactly, file by file.
-                let red = explore(m, prog, Limits::with_reduction(Reduction::Sleep));
-                assert_eq!(red.outcomes, ex.outcomes, "{} on `{}`", m.name(), prog.name);
-                assert_eq!(red.deadlocks, 0, "{} on `{}`", m.name(), prog.name);
-            }
             ex.outcomes.iter().any(pred)
         }
         [

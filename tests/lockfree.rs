@@ -119,7 +119,7 @@ fn corpus_sample_matches_seq_with_and_without_reduction() {
         }
         // Reduction prunes states, never outcomes or deadlocks.
         let mut red_limits = limits(1);
-        red_limits.reduction = Reduction::Sleep;
+        red_limits.reduction = Reduction::Ample;
         let red = explore(m, prog, red_limits);
         assert!(!red.truncated(), "{name} on {} reduced: truncated", m.name());
         assert_eq!(red.outcomes, seq.outcomes, "{name} on {} reduced outcomes", m.name());

@@ -4,9 +4,8 @@
 //! The contract under test: killing an exploration at *any* checkpoint
 //! boundary and resuming it produces exactly the outcome set, state
 //! count, and deadlock count of an uninterrupted run — for every
-//! shipped litmus file and every reduction mode (the parallel engine
-//! with and without ample sets, and the sleep-set engine), all through
-//! the one `run` entry point. The crash is injected
+//! shipped litmus file and both reduction modes (with and without
+//! ample sets), all through the one `run` entry point. The crash is injected
 //! deterministically with [`CheckpointCfg::abort_after`], and the
 //! resumed run is itself re-killed at its next checkpoint, so one loop
 //! exercises every checkpoint boundary the run ever reaches.
@@ -73,9 +72,9 @@ fn assert_equivalent(resumed: &Exploration, oracle: &Exploration, ctx: &str) {
 #[test]
 fn kill_resume_equivalence_across_litmus_files() {
     for prog in shipped_litmus_programs() {
-        for reduction in [Reduction::Full, Reduction::Ample, Reduction::Sleep] {
+        for reduction in [Reduction::Full, Reduction::Ample] {
             let m = WoDef2Machine::default();
-            let limits = Limits { threads: 2, ..Limits::with_reduction(reduction) };
+            let limits = Limits { threads: 2, reduction, ..Limits::default() };
             let oracle = explore(&m, &prog, limits);
             let ctx = format!("{} ({reduction:?})", prog.name);
             let dir = tmp_ckpt_dir(&format!("{}-{reduction:?}", prog.name));
@@ -126,10 +125,9 @@ fn resume_refuses_mismatched_configuration() {
         Err(CheckpointError::ConfigMismatch { .. }) => {}
         other => panic!("expected ConfigMismatch, got {other:?}"),
     }
-    // Wrong engine (a sleep-set resume of a parallel checkpoint). The
-    // reduction mode, and with it the engine, is part of the
-    // fingerprint, so the configuration check refuses it first.
-    match leg(&m, &prog, Limits::with_reduction(Reduction::Sleep), &cfg, true) {
+    // Different reduction mode (an ample-set resume of a full
+    // checkpoint): the mode is part of the fingerprint.
+    match leg(&m, &prog, Limits::reduced(), &cfg, true) {
         Err(CheckpointError::ConfigMismatch { .. }) => {}
         other => panic!("expected ConfigMismatch, got {other:?}"),
     }
