@@ -5,7 +5,9 @@
 //! same run, on three generated corpus shapes × {sc, tso, pso},
 //! reporting states/sec,
 //! a peak-RSS proxy (live heap bytes tracked by a counting global
-//! allocator), and spill bytes for a disk-budgeted run. See
+//! allocator), and spill bytes for a disk-budgeted run. A per-call tier
+//! then times whole calls on litmus-sized programs, where the fixed
+//! cost of a call matters more than the cost per state. See
 //! EXPERIMENTS.md § E13 for the methodology and the committed numbers.
 //!
 //! ```text
@@ -16,11 +18,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use weakord_bench::experiments::SEQ_FLOOR;
-use weakord_mc::machines::{PsoMachine, ScMachine, TsoMachine};
-use weakord_mc::{explore, explore_seq, Exploration, Limits};
-use weakord_progs::{gen, Program};
+use weakord_mc::machines::{BnrMachine, PsoMachine, ScMachine, TsoMachine, NAMES};
+use weakord_mc::{explore, explore_seq, with_machine, Exploration, Limits, Machine};
+use weakord_progs::{gen, litmus, parse_program, Program};
 
 /// Tracks live and peak heap bytes. "Peak RSS proxy": resident set
 /// size itself is OS-noisy and includes the binary; peak live heap is
@@ -153,6 +156,148 @@ fn limits_for(threads: usize) -> Limits {
     l
 }
 
+/// Repetitions per per-call cell; each engine keeps its fastest.
+const CALL_REPS: usize = 7;
+
+/// One per-call cell: a program × machine under `Limits::reduced()`,
+/// best whole-call wall time of each engine.
+struct CallRow {
+    program: String,
+    machine: &'static str,
+    states: usize,
+    seq: Duration,
+    w1: Duration,
+    w2: Duration,
+}
+
+/// Every in-code litmus test, then every `litmus/*.litmus` file.
+fn call_programs() -> Vec<(String, Program)> {
+    let mut progs: Vec<(String, Program)> =
+        litmus::all().into_iter().map(|l| (l.name.to_string(), l.program)).collect();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../litmus");
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("litmus dir exists")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "litmus"))
+        .collect();
+    files.sort();
+    for path in files {
+        let src = std::fs::read_to_string(&path).expect("readable litmus file");
+        let prog = parse_program(&src).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let name = path.file_name().expect("file name").to_string_lossy();
+        progs.push((name.into_owned(), prog));
+    }
+    progs
+}
+
+/// Times whole calls of `explore_seq`, the engine at 1 worker and the
+/// engine at 2 workers, interleaved per repetition. The clock spans the
+/// call and the drop of its result, so the engine's teardown, which
+/// `stats.duration` stops short of, is counted too.
+fn call_row<M: Machine>(m: &M, program: &str, prog: &Program) -> CallRow {
+    let reduced = |threads| Limits { threads, ..Limits::reduced() };
+    let timed = |f: &dyn Fn() -> Exploration| {
+        let t = Instant::now();
+        let ex = f();
+        drop(std::hint::black_box(ex));
+        t.elapsed()
+    };
+    let reference = explore_seq(m, prog, reduced(1));
+    assert!(!reference.truncated(), "{program} on {}: per-call run truncated", m.name());
+    for threads in [1, 2] {
+        let ex = explore(m, prog, reduced(threads));
+        assert_eq!(ex, reference, "{program} on {}: engine at {threads} worker(s)", m.name());
+    }
+    let mut best = [Duration::MAX; 3];
+    for _ in 0..CALL_REPS {
+        let times = [
+            timed(&|| explore_seq(m, prog, reduced(1))),
+            timed(&|| explore(m, prog, reduced(1))),
+            timed(&|| explore(m, prog, reduced(2))),
+        ];
+        for (b, t) in best.iter_mut().zip(times) {
+            *b = (*b).min(t);
+        }
+    }
+    CallRow {
+        program: program.to_string(),
+        machine: m.name(),
+        states: reference.states,
+        seq: best[0],
+        w1: best[1],
+        w2: best[2],
+    }
+}
+
+fn call_tier() -> Vec<CallRow> {
+    let programs = call_programs();
+    let mut rows = Vec::new();
+    for &name in NAMES.iter().chain(&["wo-bnr"]) {
+        eprintln!("per-call tier on {name}…");
+        for (program, prog) in &programs {
+            rows.push(if name == "wo-bnr" {
+                call_row(&BnrMachine, program, prog)
+            } else {
+                with_machine!(name, |m| call_row(&m, program, prog), other => unreachable!("{other}"))
+            });
+        }
+    }
+    rows
+}
+
+fn us(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e6
+}
+
+/// The per-call tier as a JSON object: totals, the worst cell of each
+/// ratio, and every cell.
+fn call_json(rows: &[CallRow]) -> String {
+    let total = |f: fn(&CallRow) -> Duration| rows.iter().map(|r| us(f(r))).sum::<f64>();
+    let (seq, w1, w2) = (total(|r| r.seq), total(|r| r.w1), total(|r| r.w2));
+    let worst = |num: fn(&CallRow) -> Duration, den: fn(&CallRow) -> Duration| {
+        let r = rows
+            .iter()
+            .max_by(|a, b| {
+                let ra = us(num(a)) / us(den(a));
+                ra.total_cmp(&(us(num(b)) / us(den(b))))
+            })
+            .expect("per-call rows");
+        format!(
+            "{{\"program\": \"{}\", \"machine\": \"{}\", \"states\": {}, \"ratio\": {:.2}}}",
+            json_escape(&r.program),
+            r.machine,
+            r.states,
+            us(num(r)) / us(den(r))
+        )
+    };
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "  \"per_call\": {{\"limits\": \"reduced\", \"reps\": {CALL_REPS}, \"cells\": {}, \"total_us\": {{\"seq\": {seq:.1}, \"w1\": {w1:.1}, \"w2\": {w2:.1}}}, \"w1_over_seq\": {:.2}, \"w2_over_w1\": {:.2}, \"cell_target\": 1.25,",
+        rows.len(),
+        w1 / seq,
+        w2 / w1
+    );
+    let _ = writeln!(out, "    \"worst_w1_over_seq\": {},", worst(|r| r.w1, |r| r.seq));
+    let _ = writeln!(out, "    \"worst_w2_over_w1\": {},", worst(|r| r.w2, |r| r.w1));
+    out.push_str("    \"rows\": [\n");
+    for (i, r) in rows.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "      {{\"program\": \"{}\", \"machine\": \"{}\", \"states\": {}, \"seq_us\": {:.1}, \"w1_us\": {:.1}, \"w2_us\": {:.1}}}{}",
+            json_escape(&r.program),
+            r.machine,
+            r.states,
+            us(r.seq),
+            us(r.w1),
+            us(r.w2),
+            if i + 1 == rows.len() { "" } else { "," }
+        );
+    }
+    out.push_str("    ]\n  },\n");
+    out
+}
+
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -216,6 +361,7 @@ fn main() {
         .find(|r| r.engine == "seq" && r.shape == largest.shape && r.machine == largest.machine)
         .expect("matching seq row");
     let speedup = largest.states_per_sec / baseline.states_per_sec;
+    let calls = call_tier();
 
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"explore-engine\",\n");
@@ -232,6 +378,7 @@ fn main() {
         largest.states,
         speedup
     );
+    out.push_str(&call_json(&calls));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
@@ -256,6 +403,14 @@ fn main() {
     eprintln!(
         "largest shape {} on {}: lockfree {:.0} vs seq {:.0} states/s ({speedup:.2}x)",
         largest.shape, largest.machine, largest.states_per_sec, baseline.states_per_sec
+    );
+    let total = |f: fn(&CallRow) -> Duration| calls.iter().map(|r| us(f(r))).sum::<f64>();
+    eprintln!(
+        "per-call tier, {} cells: explore_seq {:.0} us, 1 worker {:.0} us, 2 workers {:.0} us",
+        calls.len(),
+        total(|r| r.seq),
+        total(|r| r.w1),
+        total(|r| r.w2)
     );
     if speedup < SEQ_FLOOR {
         eprintln!("WARNING: speedup below the {SEQ_FLOOR}x acceptance bar");

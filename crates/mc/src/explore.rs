@@ -11,8 +11,9 @@
 //! engine and one reference share one result type:
 //!
 //! * the parallel engine ([`Reduction::Full`] and [`Reduction::Ample`]):
-//!   `limits.threads` workers under
-//!   [`std::thread::scope`] over the lock-free [`VisitedSet`] (an
+//!   up to `limits.threads` workers — worker 0 on the calling thread,
+//!   its peers under [`std::thread::scope`] once the run outlasts a
+//!   thread start — over the lock-free [`VisitedSet`] (an
 //!   open-addressing fingerprint table indexing an exact store of
 //!   [`Codec`]-encoded states — see [`crate::visited`]). Frontiers hold
 //!   the visited set's `u64` ids, not boxed state clones: a successor
@@ -64,8 +65,12 @@ pub struct Limits {
     /// Maximum number of distinct states to visit before giving up and
     /// marking the exploration truncated.
     pub max_states: usize,
-    /// Worker threads for [`explore`]; `0` means one per available
-    /// hardware thread ([`std::thread::available_parallelism`]).
+    /// Up to this many workers for [`explore`]; `0` means one per
+    /// available hardware thread
+    /// ([`std::thread::available_parallelism`]). Worker 0 runs on the
+    /// calling thread and starts the others only once the run has
+    /// lasted about as long as starting them costs, so a small run
+    /// finishes on one thread whatever this says.
     pub threads: usize,
     /// Wall-clock budget; exceeding it truncates the exploration
     /// (`outcomes` is then a lower bound, like hitting `max_states`).
@@ -142,7 +147,8 @@ impl Limits {
         Limits { memory_budget: Some(bytes), ..Limits::default() }
     }
 
-    /// The worker count [`explore`] will actually use.
+    /// The worker count [`explore`] may use (and reports in
+    /// [`ExplorationStats::threads`]).
     pub fn resolved_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
@@ -448,15 +454,23 @@ impl std::fmt::Display for TruncationReason {
 pub struct ExplorationStats {
     /// Distinct states admitted to the visited set.
     pub distinct_states: usize,
-    /// Wall-clock time of the exploration.
+    /// Wall-clock time of the exploration (cumulative across resumed
+    /// legs), [`setup`](Self::setup) included; the teardown after it,
+    /// dropping the visited set, is not.
     pub duration: Duration,
+    /// Wall-clock time this leg spent before its workers started:
+    /// building the engine and seeding the root, or on a resume
+    /// restoring the checkpoint's visited set and requeueing its
+    /// frontier. Not carried across resumes.
+    pub setup: Duration,
     /// Successor arcs that landed on an already-visited state.
     pub dedup_hits: u64,
     /// Total successor arcs probed against the visited set.
     pub dedup_probes: u64,
     /// Peak length of any single worker's frontier deque.
     pub peak_frontier: usize,
-    /// Worker threads used (1 for [`explore_seq`]).
+    /// Worker threads configured (1 for [`explore_seq`]); a run that
+    /// finishes before its peers are due starts fewer.
     pub threads: usize,
     /// Successful work-steals (0 for [`explore_seq`]).
     pub steals: u64,
@@ -600,6 +614,7 @@ impl ExplorationStats {
             self.deadline_overshoot.as_secs_f64() * 1e3,
         );
         reg.gauge(format!("{ns}.duration-ms"), self.duration.as_secs_f64() * 1e3);
+        reg.gauge(format!("{ns}.setup-ms"), self.setup.as_secs_f64() * 1e3);
         reg.gauge(format!("{ns}.dedup-hit-rate"), self.dedup_hit_rate());
         reg.gauge(format!("{ns}.reduction-ratio"), self.reduction_ratio());
         let sps = self.states_per_sec();
@@ -908,9 +923,11 @@ struct Engine<'a, M: Machine> {
     deadline_at: Option<Instant>,
     /// Worst observed overshoot past the deadline, in nanoseconds.
     overshoot_nanos: AtomicU64,
-    /// Workers still in their run loop. Retiring workers (normal
-    /// drain-out, stop, or absorbed panic) decrement it so a
-    /// checkpoint coordinator never waits for the departed.
+    /// Started workers still in their run loop. Worker 0 counts from
+    /// the start, its peers from when it starts them (see
+    /// [`run_workers`]); retiring workers (normal drain-out, stop, or
+    /// absorbed panic) decrement it, so a checkpoint coordinator never
+    /// waits for a worker that has not started or has departed.
     active: AtomicUsize,
     /// Workers currently out of work, waiting on a peer. A worker with
     /// a hot tail that sees it non-zero parks half the tail for them.
@@ -988,7 +1005,7 @@ impl<'a, M: Machine> Engine<'a, M> {
             progress: opts.progress.cloned(),
             deadline_at: limits.deadline.map(|d| started + d),
             overshoot_nanos: AtomicU64::new(0),
-            active: AtomicUsize::new(workers),
+            active: AtomicUsize::new(1),
             idle: AtomicUsize::new(0),
             worker_panics: AtomicU64::new(0),
             steals: AtomicU64::new(0),
@@ -1315,8 +1332,14 @@ impl<'a, M: Machine> Engine<'a, M> {
         }
     }
 
-    /// One worker's main loop.
-    fn run_worker(&self, worker: usize) -> WorkerResult {
+    /// One worker's main loop. Worker 0 carries `peers`: the instant
+    /// its peers are due and the hook that starts them, called at the
+    /// first loop top past that instant.
+    fn run_worker(
+        &self,
+        worker: usize,
+        mut peers: Option<(Instant, &mut dyn FnMut())>,
+    ) -> WorkerResult {
         let mut out = WorkerResult::default();
         let mut succ: Vec<(Label, M::State)> = Vec::new();
         // Encode scratch, reused across every successor of every state.
@@ -1341,6 +1364,11 @@ impl<'a, M: Machine> Engine<'a, M> {
         // Whether this worker is counted in `self.idle`.
         let mut idle = false;
         loop {
+            if peers.as_ref().is_some_and(|(due, _)| Instant::now() >= *due) {
+                if let Some((_, start)) = peers.take() {
+                    start();
+                }
+            }
             // Park the hot tail before stopping or entering a
             // rendezvous: snapshots must see it in the frontier, and a
             // coordinator must not wait on a worker that never reaches
@@ -1355,8 +1383,8 @@ impl<'a, M: Machine> Engine<'a, M> {
                 // A peer is out of work and nothing here is stealable:
                 // park the older, shallower half of the hot tail for it.
                 // A lone worker with no work has nothing pending and
-                // retires instead of idling, so 1-worker runs never
-                // get here.
+                // retires instead of idling, so 1-worker runs (and
+                // worker 0 before its peers start) never get here.
                 let half = hot.len() / 2;
                 self.park_hot(worker, &mut hot, &mut pool, half);
             }
@@ -1625,7 +1653,11 @@ impl<'a, M: Machine> Engine<'a, M> {
     /// Folds up the joined run. A checkpointed run first surfaces any
     /// mid-run save failure and writes its final checkpoint, so
     /// deadline/cap-truncated and even completed runs are resumable.
-    fn finish(self, results: Vec<WorkerResult>) -> Result<Exploration, CheckpointError> {
+    fn finish(
+        self,
+        results: Vec<WorkerResult>,
+        setup: Duration,
+    ) -> Result<Exploration, CheckpointError> {
         if let Some(c) = &self.ckpt {
             if c.failed.load(Ordering::Relaxed) {
                 return Err(lock_clean(&c.error)
@@ -1655,6 +1687,7 @@ impl<'a, M: Machine> Engine<'a, M> {
         let stats = ExplorationStats {
             distinct_states: self.visited.len(),
             duration: Duration::from_nanos(self.base.elapsed_nanos) + self.started.elapsed(),
+            setup,
             dedup_hits: counters.dedup_hits,
             dedup_probes: counters.dedup_probes,
             peak_frontier: self.peak_frontier.load(Ordering::Relaxed),
@@ -1709,8 +1742,9 @@ pub fn run<M: Machine>(
         Some(frontier) => engine.requeue(frontier),
         None => engine.seed_root(),
     }
+    let setup = engine.started.elapsed();
     let results = run_workers(&engine, workers);
-    engine.finish(results)
+    engine.finish(results, setup)
 }
 
 /// [`run`] with no options: not cancellable, unmonitored, not
@@ -1719,23 +1753,40 @@ pub fn explore<M: Machine>(machine: &M, prog: &Program, limits: Limits) -> Explo
     run(machine, prog, limits, &Opts::default()).expect("a run without a checkpoint cannot fail")
 }
 
-/// Spawns the workers and joins them. `join` cannot fail: worker
-/// panics are absorbed inside [`Engine::run_worker`], never propagated
-/// to the scope.
+/// How long worker 0 explores alone before it starts its peers: about
+/// what starting and joining one costs (a scoped spawn and join of an
+/// empty thread took 45–50 µs on a 2-vCPU host), so a run too short to
+/// repay them finishes on the calling thread alone.
+const PEERS_AFTER: Duration = Duration::from_micros(50);
+
+/// Runs worker 0 on the calling thread and its peers on scoped threads,
+/// started on demand: once worker 0 has run for [`PEERS_AFTER`], or at
+/// once if it retires while work is still pending (it died to a panic)
+/// and nothing stopped the run. `join` cannot fail: worker panics are
+/// absorbed inside [`Engine::run_worker`], never propagated to the
+/// scope.
 fn run_workers<M: Machine>(engine: &Engine<'_, M>, workers: usize) -> Vec<WorkerResult> {
     if workers == 1 {
-        // Run in place: spawning a lone scoped thread buys nothing.
-        vec![engine.run_worker(0)]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                (0..workers).map(|w| scope.spawn(move || engine.run_worker(w))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panic escaped catch_unwind"))
-                .collect()
-        })
+        return vec![engine.run_worker(0, None)];
     }
+    std::thread::scope(|scope| {
+        let spawn = |peers: &mut Vec<_>| {
+            engine.active.fetch_add(workers - 1, Ordering::SeqCst);
+            peers.extend((1..workers).map(|w| scope.spawn(move || engine.run_worker(w, None))));
+        };
+        let mut peers = Vec::new();
+        let mut start = || spawn(&mut peers);
+        let first = engine.run_worker(0, Some((Instant::now() + PEERS_AFTER, &mut start)));
+        if peers.is_empty()
+            && engine.pending.load(Ordering::SeqCst) != 0
+            && !engine.stop.load(Ordering::SeqCst)
+        {
+            spawn(&mut peers);
+        }
+        let joined =
+            peers.into_iter().map(|h| h.join().expect("worker panic escaped catch_unwind"));
+        std::iter::once(first).chain(joined).collect()
+    })
 }
 
 /// Explores the full reachable state space of `machine` running `prog`
@@ -1764,6 +1815,7 @@ pub fn explore_seq<M: Machine>(machine: &M, prog: &Program, limits: Limits) -> E
     visited.insert(initial.clone());
     stack.push(initial);
     let mut succ: Vec<(Label, M::State)> = Vec::new();
+    let setup = started.elapsed();
     'search: while let Some(state) = stack.pop() {
         if let Some(outcome) = machine.outcome(prog, &state) {
             outcomes.insert(outcome);
@@ -1800,6 +1852,7 @@ pub fn explore_seq<M: Machine>(machine: &M, prog: &Program, limits: Limits) -> E
     let stats = ExplorationStats {
         distinct_states: visited.len(),
         duration: started.elapsed(),
+        setup,
         dedup_hits,
         dedup_probes,
         peak_frontier,
@@ -2007,6 +2060,39 @@ mod tests {
         });
         assert!(!samples.is_empty(), "at least the final publication is visible");
         assert!(samples.last().expect("non-empty").states as usize <= final_states);
+    }
+
+    /// `setup` is the part of `duration` before the workers start: on a
+    /// fresh run, and on a resumed leg, where it covers restoring the
+    /// checkpoint. Both engines fill it, and the export carries it.
+    #[test]
+    fn setup_is_the_head_of_duration_fresh_and_resumed() {
+        let lit = litmus::iriw();
+        let seq = explore_seq(&ScMachine, &lit.program, Limits::default());
+        assert!(seq.stats.setup <= seq.stats.duration, "{:?}", seq.stats);
+        let fresh = explore(&ScMachine, &lit.program, Limits::with_threads(2));
+        assert!(fresh.stats.setup > Duration::ZERO);
+        assert!(fresh.stats.setup <= fresh.stats.duration, "{:?}", fresh.stats);
+        let dir = std::env::temp_dir().join(format!("weakord-setup-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = CheckpointCfg::every(&dir, 100);
+        cfg.abort_after = Some(1);
+        let leg = |checkpoint| {
+            let opts = Opts { checkpoint, ..Opts::default() };
+            run(&ScMachine, &lit.program, Limits::with_threads(2), &opts).expect("checkpoint IO")
+        };
+        let mut resumed = leg(Checkpoint::Fresh(&cfg));
+        assert_eq!(resumed.truncation, Some(TruncationReason::Resumable));
+        while resumed.truncation == Some(TruncationReason::Resumable) {
+            resumed = leg(Checkpoint::Resume(&cfg));
+            assert!(resumed.stats.setup > Duration::ZERO);
+            assert!(resumed.stats.setup <= resumed.stats.duration, "{:?}", resumed.stats);
+        }
+        assert_eq!(resumed, fresh);
+        let mut reg = MetricsRegistry::new();
+        resumed.stats.export_metrics("x", &mut reg);
+        assert_eq!(reg.get_gauge("x.setup-ms"), Some(resumed.stats.setup.as_secs_f64() * 1e3));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A memory budget small enough to force spilling must not change

@@ -142,16 +142,16 @@ fn thread_table(instrs: &[Instr]) -> Vec<FutureFp> {
                 }
                 _ => {}
             }
-            let succs: &[usize] = &match instrs[i] {
-                Instr::Halt => [0; 0].to_vec(),
-                Instr::Jump { target } => vec![target as usize],
+            let (succs, n_succs) = match instrs[i] {
+                Instr::Halt => ([0; 2], 0),
+                Instr::Jump { target } => ([target as usize, 0], 1),
                 Instr::BranchZero { target, .. } | Instr::BranchNonZero { target, .. } => {
-                    vec![target as usize, i + 1]
+                    ([target as usize, i + 1], 2)
                 }
-                _ => vec![i + 1],
+                _ => ([i + 1, 0], 1),
             };
             let mut succ_pre = 0u128;
-            for &s in succs {
+            for &s in &succs[..n_succs] {
                 let f = fp[s];
                 cur.data_reads |= f.data_reads;
                 cur.sync_reads |= f.sync_reads;

@@ -29,6 +29,12 @@
 //!   raced ahead keep probing the old level — a stale *hit* is still a
 //!   genuine hit (entries are never removed), and a stale *miss* is
 //!   revalidated under the insert lock before anything is admitted.
+//! * **Nothing allocated before it is needed.** A fresh shard holds no
+//!   level and no slab segment: its first insert builds a 32-slot level
+//!   and a 16-entry segment, and both grow from there by the rules
+//!   above, so a run of a few dozen states costs a few dozen states'
+//!   memory while a big run grows through the 256-, 2,048- and
+//!   16,384-slot levels. A probe of a shard with no level is a miss.
 //! * **An exact store of encoded states, spillable to disk.** Entry
 //!   payloads live in per-shard append-only slabs (lock-free reads via
 //!   per-entry `OnceLock`). With a memory budget configured, payloads
@@ -53,17 +59,18 @@ use crate::checkpoint::fnv1a;
 /// is the top `log2(N_SHARDS)` bits of its fingerprint.
 pub const N_SHARDS: usize = 64;
 
-/// Slots in a shard's first level; each further level has 8× more.
-const LEVEL0_SLOTS: usize = 256;
-/// Upper bound on levels per shard (level 16 alone holds 2^52 slots —
+/// Slots in a shard's first level, built on its first insert; each
+/// further level has 8× more (256, 2,048, 16,384, …).
+const LEVEL0_SLOTS: usize = 32;
+/// Upper bound on levels per shard (level 16 alone holds 2^53 slots —
 /// the id space runs out long before the directory does).
 const MAX_LEVELS: usize = 17;
-/// Entries in a shard's first slab segment; each further segment
-/// doubles.
-const SEG0: usize = 512;
-/// Slab segments per shard (`SEG0 << 32` entries overflows the 32-bit
-/// entry index first).
-const SEGS: usize = 33;
+/// Entries in a shard's first slab segment, allocated on its first
+/// insert; each further segment doubles.
+const SEG0: usize = 16;
+/// Slab segments per shard (segment 28 already ends past the 32-bit
+/// entry index).
+const SEGS: usize = 29;
 /// Approximate in-RAM bookkeeping cost of one entry (slab record, slot,
 /// and allocator overhead), counted against the memory budget alongside
 /// the payload bytes.
@@ -112,7 +119,8 @@ pub struct VisitedCounters {
     /// In-RAM payload bytes (encoded states kept in the slabs, plus
     /// [`ENTRY_OVERHEAD`] each).
     pub mem_bytes: u64,
-    /// Bytes held by the fingerprint levels and slab segment spines.
+    /// Bytes held by the fingerprint levels and slab segment spines
+    /// built so far (0 before the first admission).
     pub table_bytes: u64,
     /// Total slots across every shard's *active* level (occupancy =
     /// `admitted / table_capacity`).
@@ -167,11 +175,13 @@ struct Entry {
     payload: Payload,
 }
 
-/// One shard: a level directory indexing an append-only slab.
+/// One shard: a level directory indexing an append-only slab. Both
+/// start empty; the shard's first insert builds level 0 and segment 0.
 struct Shard {
     levels: [OnceLock<Level>; MAX_LEVELS],
     /// Index of the level inserts and (fresh) probes use. Stored with
-    /// `Release` after the level is fully built and migrated.
+    /// `Release` after the level is fully built and migrated; level 0
+    /// may not be built yet.
     active: AtomicUsize,
     /// Slab segments; segment `k` holds `SEG0 << k` entries.
     segs: [OnceLock<Box<[OnceLock<Entry>]>>; SEGS],
@@ -183,15 +193,13 @@ struct Shard {
 
 impl Shard {
     fn new() -> Self {
-        let s = Shard {
+        Shard {
             levels: std::array::from_fn(|_| OnceLock::new()),
             active: AtomicUsize::new(0),
             segs: std::array::from_fn(|_| OnceLock::new()),
             count: AtomicUsize::new(0),
             insert: Mutex::new(()),
-        };
-        s.levels[0].set(Level::new(LEVEL0_SLOTS)).ok().expect("fresh shard");
-        s
+        }
     }
 
     fn entry(&self, idx: u32) -> &Entry {
@@ -348,17 +356,15 @@ impl VisitedSet {
     /// budget (payload bytes + index overhead, in bytes) go to an
     /// anonymous temp file instead of RAM.
     pub fn new(memory_budget: Option<usize>) -> Self {
-        let shards: Vec<Shard> = (0..N_SHARDS).map(|_| Shard::new()).collect();
-        let table = N_SHARDS * LEVEL0_SLOTS * 8;
         VisitedSet {
-            shards,
+            shards: (0..N_SHARDS).map(|_| Shard::new()).collect(),
             admitted: AtomicUsize::new(0),
             dedup_hits: AtomicU64::new(0),
             dedup_probes: AtomicU64::new(0),
             probe_steps: AtomicU64::new(0),
             spilled_states: AtomicU64::new(0),
             mem_bytes: AtomicUsize::new(0),
-            table_bytes: AtomicUsize::new(table),
+            table_bytes: AtomicUsize::new(0),
             budget: memory_budget,
             spill: OnceLock::new(),
         }
@@ -480,9 +486,13 @@ impl VisitedSet {
     /// The lock-free probe: scan the active level's chain, compare
     /// payload bytes on tag matches. `None` here is only authoritative
     /// under the shard's insert lock. Slots walked accumulate into
-    /// `steps` — the *caller* owns flushing them to the shared counter.
+    /// `steps` — the *caller* owns flushing them to the shared counter;
+    /// a shard with no level yet reads as one empty slot.
     fn probe(&self, sh: &Shard, fp: u64, bytes: &[u8], steps: &mut u64) -> Option<u32> {
-        let level = sh.levels[sh.active.load(Ordering::Acquire)].get().expect("active level");
+        let Some(level) = sh.levels[sh.active.load(Ordering::Acquire)].get() else {
+            *steps += 1;
+            return None;
+        };
         let mask = level.slots.len() - 1;
         let tag = (fp >> 32) as u32;
         let mut i = (fp as usize) & mask;
@@ -544,6 +554,10 @@ impl VisitedSet {
         let count = sh.count.load(Ordering::Relaxed);
         let idx = u32::try_from(count).expect("shard entry index fits u32");
         assert!(idx < u32::MAX, "shard slab full"); // idx+1 must fit the slot's low half
+        if count == 0 {
+            self.table_bytes.fetch_add(LEVEL0_SLOTS * 8, Ordering::Relaxed);
+            sh.levels[0].set(Level::new(LEVEL0_SLOTS)).ok().expect("level 0 built once");
+        }
         let (seg, within) = seg_of(count);
         if sh.segs[seg].get().is_none() {
             let len = SEG0 << seg;
@@ -715,7 +729,7 @@ mod tests {
     #[test]
     fn growth_across_levels_keeps_every_entry_findable() {
         let v = VisitedSet::new(None);
-        let n = 50_000u64; // ~780/shard: two growths past LEVEL0_SLOTS
+        let n = 50_000u64; // ~780/shard: levels of 32, 256 and 2,048 slots
         for i in 0..n {
             let b = bytes_of(i, 16);
             assert!(matches!(v.admit(hash_bytes(&b), &b, usize::MAX), Admit::New(_)), "i={i}");
@@ -779,7 +793,7 @@ mod tests {
 
     #[test]
     fn spill_keeps_admission_exact_past_the_budget() {
-        // Budget below even the level-0 tables: everything spills.
+        // Budget below one entry's overhead: everything spills.
         let v = VisitedSet::new(Some(1));
         let n = 500u64;
         for i in 0..n {
@@ -806,6 +820,72 @@ mod tests {
             });
         }
         assert_eq!(seen, n as usize);
+    }
+
+    /// Bytes of the levels and slab segments the shards have actually
+    /// built, read off the structure itself.
+    fn built_bytes(v: &VisitedSet) -> u64 {
+        let entry = std::mem::size_of::<OnceLock<Entry>>();
+        v.shards
+            .iter()
+            .map(|sh| {
+                let levels: usize =
+                    sh.levels.iter().filter_map(OnceLock::get).map(|l| l.slots.len() * 8).sum();
+                let segs: usize =
+                    sh.segs.iter().filter_map(OnceLock::get).map(|s| s.len() * entry).sum();
+                (levels + segs) as u64
+            })
+            .sum()
+    }
+
+    fn untouched(sh: &Shard) -> bool {
+        sh.levels.iter().all(|l| l.get().is_none()) && sh.segs.iter().all(|s| s.get().is_none())
+    }
+
+    #[test]
+    fn a_fresh_set_holds_no_level_or_segment() {
+        let v = VisitedSet::new(None);
+        let c = v.counters();
+        assert_eq!((c.table_bytes, c.table_capacity, c.mem_bytes), (0, 0, 0));
+        assert!(v.shards.iter().all(untouched));
+    }
+
+    #[test]
+    fn probing_an_untouched_shard_misses_without_building_it() {
+        let v = VisitedSet::new(None);
+        let b = bytes_of(3, 24);
+        let fp = hash_bytes(&b);
+        assert_eq!(v.find(fp, &b), None);
+        assert!(v.shards.iter().all(untouched), "find built a level or segment");
+        assert_eq!(v.counters().probe_steps, 1, "an unbuilt level reads as one empty slot");
+        // Admitting into one shard builds that shard alone; a probe of
+        // another still misses without building anything.
+        assert!(matches!(v.admit(fp, &b, 10), Admit::New(_)));
+        let other =
+            (0u64..).map(|n| bytes_of(n, 24)).find(|o| shard_of(hash_bytes(o)) != shard_of(fp));
+        let o = other.expect("some payload lands in another shard");
+        assert_eq!(v.find(hash_bytes(&o), &o), None);
+        assert_eq!(v.shards.iter().filter(|sh| !untouched(sh)).count(), 1);
+        let built = LEVEL0_SLOTS * 8 + SEG0 * std::mem::size_of::<OnceLock<Entry>>();
+        assert_eq!(v.counters().table_bytes, built as u64);
+    }
+
+    #[test]
+    fn table_bytes_count_exactly_what_growth_built() {
+        let v = VisitedSet::new(None);
+        for (i, n) in [1u64, 10, 100, 2_000, 20_000, 60_000].into_iter().enumerate() {
+            let from = if i == 0 { 0 } else { [1u64, 10, 100, 2_000, 20_000][i - 1] };
+            for k in from..n {
+                let b = bytes_of(k, 16);
+                assert!(matches!(v.admit(hash_bytes(&b), &b, usize::MAX), Admit::New(_)));
+            }
+            assert_eq!(v.counters().table_bytes, built_bytes(&v), "after {n} admissions");
+        }
+        // 60,000 states put ~940 in each shard, past level 1's 75% mark
+        // (192 entries) and short of level 2's (1,536): every shard is
+        // on the 2,048-slot level 2.
+        let c = v.counters();
+        assert_eq!(c.table_capacity, (N_SHARDS * (LEVEL0_SLOTS << 6)) as u64);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! can no longer leak into a measurement — only the measuring thread
 //! increments the count it reads. A test-local lock additionally
 //! serializes the measured sections, so even same-file tests added
-//! later cannot interleave inside one sample.
+//! later cannot interleave inside one sample. The same allocator also
+//! tracks each thread's live bytes and their peak, which bounds the
+//! footprint of a single-threaded exploration.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -39,6 +41,10 @@ thread_local! {
     /// thread-local can allocate its control block inside the
     /// allocator, recursing).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` since the last [`peak_during`] began.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Bumps the calling thread's counter; silently skips threads whose
@@ -48,23 +54,36 @@ fn count() {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
 }
 
+/// Moves the calling thread's live bytes by `delta` and raises its
+/// peak; skips torn-down threads like [`count`].
+fn track(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        track(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
+        track(layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        track(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -84,6 +103,17 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Runs `f` under the measurement lock and returns the peak of *this
+/// thread's* live heap during it, above its level at the start. Exact
+/// for single-threaded `f`, like [`allocs_during`].
+fn peak_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let _serialized = MEASURE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let out = f();
+    (PEAK.with(Cell::get).saturating_sub(before) as u64, out)
 }
 
 const SAMPLES: u32 = 5;
@@ -200,6 +230,33 @@ fn explore_allocates_under_two_blocks_per_admitted_state() {
         with_machine!(name, |m| check(&m, &trivial, &prog), other => unreachable!("{other}"));
     }
     check(&BnrMachine, &trivial, &prog);
+}
+
+/// A small exploration costs what its states cost. A 1-worker run
+/// (in place, so this thread sees every engine allocation) of each
+/// in-code litmus test peaks at 128 KiB of fixed engine state plus
+/// 1 KiB per admitted state: the visited set builds a shard's table
+/// and slab only when the shard admits its first state, and starts
+/// them small. Building every shard's full-size table up front costs
+/// well over 128 KiB before the first state is admitted.
+#[test]
+fn small_explorations_peak_at_what_their_states_cost() {
+    let limits = Limits { threads: 1, ..Limits::default() };
+    for lit in litmus::all() {
+        for name in ["sc", "wo-def2"] {
+            let (peak, states) = with_machine!(name, |m| {
+                let (peak, ex) = peak_during(|| explore(&m, &lit.program, limits));
+                assert!(!ex.truncated(), "{} × {name} truncated", lit.name);
+                (peak, ex.states)
+            }, other => unreachable!("{other}"));
+            let bound = 128 * 1024 + 1024 * states as u64;
+            assert!(
+                peak <= bound,
+                "{} × {name}: peak live heap {peak} bytes over {states} states exceeds {bound}",
+                lit.name
+            );
+        }
+    }
 }
 
 #[test]
