@@ -56,7 +56,7 @@ use std::time::Duration;
 use weakord_core::{Loc, ProcId, Value};
 use weakord_progs::{unparse_program, Outcome, Program, ThreadState, N_REGS};
 
-use crate::explore::{Limits, Reduction, TruncationReason};
+use crate::explore::{nanos, ExplorationStats, Limits, Reduction, TruncationReason};
 use crate::fxhash::fingerprint;
 
 /// Current on-disk format version. v2 switched the [`Codec`] integer
@@ -186,12 +186,6 @@ impl CheckpointCfg {
     /// Same, with an explicit autosave period.
     pub fn every(dir: impl Into<PathBuf>, every: usize) -> Self {
         CheckpointCfg { dir: dir.into(), every, abort_after: None, store: None }
-    }
-
-    /// Route this config's checkpoint IO through `store`.
-    pub fn with_store(mut self, store: Arc<dyn CkptStore>) -> Self {
-        self.store = Some(store);
-        self
     }
 
     /// Path of the checkpoint file.
@@ -609,88 +603,25 @@ impl Codec for TruncationReason {
 // Snapshots: what the engine persists.
 // ---------------------------------------------------------------------
 
-/// Durable [`crate::ExplorationStats`] counters carried across a
-/// suspend/resume boundary. Purely diagnostic quantities that restart
-/// from zero (throughput, per-run timing) are not here.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PersistedCounters {
-    /// Distinct states admitted so far.
-    pub distinct: u64,
-    /// Cumulative dedup hits.
-    pub dedup_hits: u64,
-    /// Cumulative dedup probes.
-    pub dedup_probes: u64,
-    /// Cumulative arcs pruned by the reduction.
-    pub pruned_arcs: u64,
-    /// Cumulative successful work steals.
-    pub steals: u64,
-    /// Peak frontier length seen so far.
-    pub peak_frontier: u64,
-    /// Wall-clock nanoseconds of exploration before this checkpoint.
-    pub elapsed_nanos: u64,
-    /// Checkpoints written so far (including this one).
-    pub checkpoints: u32,
-    /// Wall-clock nanoseconds spent serializing/writing checkpoints.
-    pub ckpt_write_nanos: u64,
-    /// Worker panics absorbed so far.
-    pub worker_panics: u32,
-    /// Worst observed deadline overshoot, in nanoseconds.
-    pub overshoot_nanos: u64,
-}
-
-impl Codec for PersistedCounters {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.distinct.encode(out);
-        self.dedup_hits.encode(out);
-        self.dedup_probes.encode(out);
-        self.pruned_arcs.encode(out);
-        self.steals.encode(out);
-        self.peak_frontier.encode(out);
-        self.elapsed_nanos.encode(out);
-        self.checkpoints.encode(out);
-        self.ckpt_write_nanos.encode(out);
-        self.worker_panics.encode(out);
-        self.overshoot_nanos.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(PersistedCounters {
-            distinct: u64::decode(r)?,
-            dedup_hits: u64::decode(r)?,
-            dedup_probes: u64::decode(r)?,
-            pruned_arcs: u64::decode(r)?,
-            steals: u64::decode(r)?,
-            peak_frontier: u64::decode(r)?,
-            elapsed_nanos: u64::decode(r)?,
-            checkpoints: u32::decode(r)?,
-            ckpt_write_nanos: u64::decode(r)?,
-            worker_panics: u32::decode(r)?,
-            overshoot_nanos: u64::decode(r)?,
-        })
-    }
-}
-
-impl PersistedCounters {
-    /// The wall-clock already spent before this checkpoint.
-    pub fn elapsed(&self) -> Duration {
-        Duration::from_nanos(self.elapsed_nanos)
-    }
-}
-
 /// A quiescent image of the engine: per-shard visited sets plus the
-/// merged frontier. At the rendezvous that produces one, the frontier
-/// holds *exactly* the admitted-but-unexpanded states, so re-seeding
-/// both sets reproduces the remaining exploration.
+/// merged frontier, the results so far and the run's stats record. At
+/// the rendezvous that produces one, the frontier holds *exactly* the
+/// admitted-but-unexpanded states, so re-seeding both sets reproduces
+/// the remaining exploration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot<S> {
     /// Outcomes collected so far.
     pub outcomes: BTreeSet<Outcome>,
     /// Deadlocked states counted so far.
     pub deadlocks: u64,
-    /// Durable stat counters.
-    pub counters: PersistedCounters,
-    /// Why the checkpointed run stopped, if it did (informational;
-    /// a resume clears it and keeps exploring).
-    pub truncation: Option<TruncationReason>,
+    /// The run's record when the snapshot was taken, this checkpoint
+    /// included in `checkpoints`. Format v2 saves the cumulative
+    /// counters a resume adds to (states, dedup hits and probes, pruned
+    /// arcs, steals, peak frontier, duration, checkpoints and their
+    /// time, worker panics, deadline overshoot) and the truncation
+    /// reason, which is informational: a resume clears it and keeps
+    /// exploring. The other fields describe one leg and load as zero.
+    pub stats: ExplorationStats,
     /// Visited set contents, per shard ([`crate::N_SHARDS`] entries).
     pub shards: Vec<Vec<S>>,
     /// Admitted states not yet expanded.
@@ -713,6 +644,43 @@ fn decode_outcomes(r: &mut Reader<'_>) -> Result<BTreeSet<Outcome>, DecodeError>
     Ok(set)
 }
 
+/// Writes the part of `stats` a checkpoint keeps (see
+/// [`Snapshot::stats`]) in format v2's order.
+fn encode_stats(stats: &ExplorationStats, out: &mut Vec<u8>) {
+    stats.distinct_states.encode(out);
+    stats.dedup_hits.encode(out);
+    stats.dedup_probes.encode(out);
+    stats.pruned_arcs.encode(out);
+    stats.steals.encode(out);
+    stats.peak_frontier.encode(out);
+    nanos(stats.duration).encode(out);
+    stats.checkpoints.encode(out);
+    nanos(stats.checkpoint_time).encode(out);
+    stats.worker_panics.encode(out);
+    nanos(stats.deadline_overshoot).encode(out);
+    stats.truncation.encode(out);
+}
+
+/// Reads what [`encode_stats`] wrote; every other field is zero.
+fn decode_stats(r: &mut Reader<'_>) -> Result<ExplorationStats, DecodeError> {
+    // Struct fields evaluate in the order written, which is the format's.
+    Ok(ExplorationStats {
+        distinct_states: usize::decode(r)?,
+        dedup_hits: u64::decode(r)?,
+        dedup_probes: u64::decode(r)?,
+        pruned_arcs: u64::decode(r)?,
+        steals: u64::decode(r)?,
+        peak_frontier: usize::decode(r)?,
+        duration: Duration::from_nanos(u64::decode(r)?),
+        checkpoints: u32::decode(r)?,
+        checkpoint_time: Duration::from_nanos(u64::decode(r)?),
+        worker_panics: u32::decode(r)?,
+        deadline_overshoot: Duration::from_nanos(u64::decode(r)?),
+        truncation: Option::decode(r)?,
+        ..ExplorationStats::default()
+    })
+}
+
 /// The payload's leading tag byte. Format v2 once used `1` for the
 /// retired sleep-set engine; such files fail their fingerprint check
 /// first, and any other non-zero tag is malformed.
@@ -723,8 +691,7 @@ impl<S: Codec> Codec for Snapshot<S> {
         out.push(SNAPSHOT_TAG);
         encode_outcomes(&self.outcomes, out);
         self.deadlocks.encode(out);
-        self.counters.encode(out);
-        self.truncation.encode(out);
+        encode_stats(&self.stats, out);
         self.shards.encode(out);
         self.frontier.encode(out);
     }
@@ -735,8 +702,7 @@ impl<S: Codec> Codec for Snapshot<S> {
         Ok(Snapshot {
             outcomes: decode_outcomes(r)?,
             deadlocks: u64::decode(r)?,
-            counters: PersistedCounters::decode(r)?,
-            truncation: Option::decode(r)?,
+            stats: decode_stats(r)?,
             shards: Vec::decode(r)?,
             frontier: Vec::decode(r)?,
         })
@@ -914,6 +880,49 @@ mod tests {
         assert_eq!(fp(Reduction::Ample), 0x3fb9_6954_4e3e_e000);
     }
 
+    /// The snapshot encoding is format v2: its bytes must not drift
+    /// while `CKPT_VERSION` stays 2, or checkpoints and serve state dirs
+    /// written by one build stop resuming on the next. Every saved
+    /// counter holds a distinct non-zero value, so a reordered or
+    /// dropped field changes the bytes. The hex is what the encoder
+    /// wrote before its counter block became an `ExplorationStats`.
+    #[test]
+    fn snapshot_bytes_are_pinned_to_format_v2() {
+        let outcome = |r: u64, m: u64| Outcome {
+            regs: vec![[Value::new(r); N_REGS]],
+            memory: vec![Value::new(m), Value::ZERO],
+        };
+        let snap = Snapshot::<u64> {
+            outcomes: [outcome(1, 2), outcome(0, 300)].into_iter().collect(),
+            deadlocks: 3,
+            stats: ExplorationStats {
+                distinct_states: 11,
+                dedup_hits: 12,
+                dedup_probes: 130,
+                pruned_arcs: 14,
+                steals: 15,
+                peak_frontier: 16,
+                duration: Duration::from_nanos(1_700_000_017),
+                checkpoints: 18,
+                checkpoint_time: Duration::from_nanos(190_019),
+                worker_panics: 20,
+                deadline_overshoot: Duration::from_nanos(21),
+                truncation: Some(TruncationReason::Deadline),
+                ..ExplorationStats::default()
+            },
+            shards: vec![vec![1, 2], vec![300]],
+            frontier: vec![2, 300],
+        };
+        let mut bytes = Vec::new();
+        snap.encode(&mut bytes);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "000201000000000000000002ac0200010101010101010101020200030b0c82010e0f1091e2cfaa0612c3cc0b141501010202010201ac020202ac02"
+        );
+        assert_eq!(Snapshot::<u64>::decode(&mut Reader::new(&bytes)), Ok(snap));
+    }
+
     /// A checkpoint of the retired sleep-set engine (payload tag 1,
     /// fingerprinted with the reduction name `"sleep"`) is refused by
     /// its fingerprint before the payload is read; a tag-1 payload
@@ -932,8 +941,7 @@ mod tests {
             let snap = Snapshot::<u64> {
                 outcomes: BTreeSet::new(),
                 deadlocks: 0,
-                counters: PersistedCounters::default(),
-                truncation: None,
+                stats: ExplorationStats::default(),
                 shards: Vec::new(),
                 frontier: Vec::new(),
             };

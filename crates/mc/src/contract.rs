@@ -322,7 +322,8 @@ mod tests {
     }
 }
 
-/// Definition 2 for an arbitrary [`SynchronizationModel`]: classifies
+/// Definition 2 for an arbitrary
+/// [`SynchronizationModel`](weakord_core::SynchronizationModel): classifies
 /// each program with the model's own judge
 /// ([`crate::check_program_conforms`]) and requires the machine to
 /// appear sequentially consistent to every conforming one.

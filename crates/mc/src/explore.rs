@@ -45,12 +45,11 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use weakord_obs::{Event, MetricsRegistry, Tracer, Track};
+use weakord_obs::MetricsRegistry;
 use weakord_progs::{Outcome, Program};
 
 use crate::checkpoint::{
-    self, config_fingerprint, CheckpointCfg, CheckpointError, Codec, PersistedCounters, Reader,
-    Snapshot,
+    self, config_fingerprint, CheckpointCfg, CheckpointError, Codec, Reader, Snapshot,
 };
 use crate::fxhash::{hash_bytes, FxBuildHasher};
 use crate::machine::{Label, Machine};
@@ -76,7 +75,7 @@ pub struct Limits {
     /// (`outcomes` is then a lower bound, like hitting `max_states`).
     pub deadline: Option<Duration>,
     /// Whether the run prunes the successor relation with the
-    /// partial-order reduction — see [`crate::reduce`]. Outcome and
+    /// partial-order reduction ([`Reduction::Ample`]). Outcome and
     /// deadlock sets are preserved; `states` and `stats` shrink.
     pub reduction: Reduction,
     /// RAM ceiling, in bytes, for the visited set's resident footprint
@@ -97,10 +96,11 @@ pub enum Reduction {
     #[default]
     Full,
     /// At each state, expand only a persistent (ample) subset of the
-    /// enabled transitions when the dependence analysis finds one
-    /// (see [`crate::reduce`]); outcome and deadlock sets are provably
-    /// unchanged. A program with more locations than the analysis
-    /// covers runs unreduced, under the same checkpoint fingerprint.
+    /// enabled transitions when the dependence analysis over their
+    /// [`Label::footprint`]s finds one; outcome and deadlock sets are
+    /// provably unchanged. A program with more locations than the
+    /// analysis covers runs unreduced, under the same checkpoint
+    /// fingerprint.
     Ample,
 }
 
@@ -192,26 +192,30 @@ impl CancelToken {
     }
 }
 
-/// Live progress counters for an in-flight exploration, published
-/// atomically by the engine and readable from any thread.
+/// Live progress of an in-flight exploration: the run's
+/// [`ExplorationStats`] as of its last publication, readable from any
+/// thread.
 ///
-/// Construction follows [`CancelToken`]: cloning shares the counters,
-/// so hand one clone to the exploration (via [`Opts::progress`]) and
-/// keep the other to [`ProgressSink::sample`] from a monitor thread.
-/// The engine samples at the existing worker
-/// safepoints — the same loop-top/per-pop cadence as the deadline and
-/// cancel checks — and batches like [`ProbeTelemetry`]: one worker
-/// elects itself publisher when the sampling interval elapses (a CAS
-/// on the next-due time), flushes its local probe batch, and stores a
-/// consistent-enough snapshot into plain atomics. No locks, no
-/// allocation, no cross-worker rendezvous: a run with no sink attached
+/// Construction follows [`CancelToken`]: cloning shares the record, so
+/// hand one clone to the exploration (via [`Opts::progress`]) and keep
+/// the other to [`ProgressSink::sample`] from a monitor thread. The
+/// engine samples at its existing worker safepoints — the same
+/// loop-top/per-pop cadence as the deadline and cancel checks. When the
+/// sampling interval elapses, one worker elects itself publisher (a CAS
+/// on the next-due time), flushes its local probe batch and stores the
+/// record the run would return if it stopped there, behind a mutex. The
+/// publisher never waits: if a reader holds the lock it skips its turn,
+/// and only the closing publication, made after the workers have
+/// joined, waits for it. Nothing allocates: a run with no sink attached
 /// pays one untaken branch per `PROGRESS_CHECK_EVERY` pops, and
-/// `tests/overhead.rs` pins even the *attached* path to zero extra
-/// heap allocations.
+/// `tests/overhead.rs` pins even the *attached* path to zero extra heap
+/// allocations.
 ///
-/// Every published counter except `frontier` (a gauge) is monotone
-/// non-decreasing over the lifetime of one engine, and `seq` increments
-/// with every publication, so readers can detect staleness.
+/// Within one engine every counter is monotone non-decreasing except
+/// the [`ExplorationStats::frontier`] gauge, and the publication count
+/// grows by one with every publication, so readers can detect
+/// staleness. The closing publication *is* the result's
+/// [`Exploration::stats`].
 #[derive(Clone, Debug, Default)]
 pub struct ProgressSink {
     inner: Arc<ProgressShared>,
@@ -226,19 +230,8 @@ struct ProgressShared {
     /// Nanos-since-epoch of the next due sample; CAS-claimed by the
     /// publishing worker.
     next_due: AtomicU64,
-    /// Publication count (bumped last, `Release`; readers pair with
-    /// `Acquire` so a changed `seq` implies fresh counters).
-    seq: AtomicU64,
-    states: AtomicU64,
-    frontier: AtomicU64,
-    dedup_hits: AtomicU64,
-    dedup_probes: AtomicU64,
-    pruned_arcs: AtomicU64,
-    steals: AtomicU64,
-    worker_panics: AtomicU64,
-    table_capacity: AtomicU64,
-    mem_bytes: AtomicU64,
-    elapsed_nanos: AtomicU64,
+    /// The publication count and the last record published.
+    last: Mutex<(u64, ExplorationStats)>,
 }
 
 impl Default for ProgressShared {
@@ -250,20 +243,10 @@ impl Default for ProgressShared {
 impl ProgressShared {
     fn with_interval(interval: Duration) -> Self {
         ProgressShared {
-            interval_nanos: interval.as_nanos().min(u128::from(u64::MAX)) as u64,
+            interval_nanos: nanos(interval),
             epoch: Instant::now(),
             next_due: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
-            states: AtomicU64::new(0),
-            frontier: AtomicU64::new(0),
-            dedup_hits: AtomicU64::new(0),
-            dedup_probes: AtomicU64::new(0),
-            pruned_arcs: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            table_capacity: AtomicU64::new(0),
-            mem_bytes: AtomicU64::new(0),
-            elapsed_nanos: AtomicU64::new(0),
+            last: Mutex::default(),
         }
     }
 }
@@ -280,33 +263,22 @@ impl ProgressSink {
         ProgressSink { inner: Arc::new(ProgressShared::with_interval(interval)) }
     }
 
-    /// The most recently published counters (all zero until the engine
-    /// publishes its first sample).
-    pub fn sample(&self) -> ProgressSnapshot {
-        let p = &self.inner;
-        let seq = p.seq.load(Ordering::Acquire);
-        ProgressSnapshot {
-            seq,
-            states: p.states.load(Ordering::Relaxed),
-            frontier: p.frontier.load(Ordering::Relaxed),
-            dedup_hits: p.dedup_hits.load(Ordering::Relaxed),
-            dedup_probes: p.dedup_probes.load(Ordering::Relaxed),
-            pruned_arcs: p.pruned_arcs.load(Ordering::Relaxed),
-            steals: p.steals.load(Ordering::Relaxed),
-            worker_panics: p.worker_panics.load(Ordering::Relaxed),
-            table_capacity: p.table_capacity.load(Ordering::Relaxed),
-            mem_bytes: p.mem_bytes.load(Ordering::Relaxed),
-            elapsed: Duration::from_nanos(p.elapsed_nanos.load(Ordering::Relaxed)),
-        }
+    /// The publication count and the last record published: `(0,
+    /// ExplorationStats::default())` until the engine publishes its
+    /// first sample. Both halves come from the same publication.
+    pub fn sample(&self) -> (u64, ExplorationStats) {
+        *lock_clean(&self.inner.last)
     }
 
     /// The engine's progress safepoint: if a sample is due, elect the
-    /// caller publisher (a CAS on the due time) and store `sample()`.
-    /// Not-yet-due calls and losers of the CAS race return after one
-    /// clock read, and no path allocates.
-    fn tick(&self, sample: impl FnOnce() -> ProgressSnapshot) {
+    /// caller publisher (a CAS on the due time) and store `stats()`
+    /// unless a reader holds the record. The record is built under the
+    /// lock, so publications land in the order they were taken and no
+    /// counter steps back. Not-yet-due calls and losers of the CAS race
+    /// return after one clock read; no path waits or allocates.
+    fn tick(&self, stats: impl FnOnce() -> ExplorationStats) {
         let p = &self.inner;
-        let now = p.epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let now = nanos(p.epoch.elapsed());
         let due = p.next_due.load(Ordering::Relaxed);
         if now >= due
             && p.next_due
@@ -318,92 +290,25 @@ impl ProgressSink {
                 )
                 .is_ok()
         {
-            self.publish(&sample());
+            if let Ok(mut last) = p.last.try_lock() {
+                *last = (last.0 + 1, stats());
+            }
         }
     }
 
-    /// Stores `s` (its `seq` is ignored) and bumps the publication
-    /// count: atomic stores only. The engine also calls it once at the
-    /// end, so a monitor sees the closing counters even when the run
-    /// ends inside one sampling interval.
-    fn publish(&self, s: &ProgressSnapshot) {
-        let p = &self.inner;
-        p.states.store(s.states, Ordering::Relaxed);
-        p.frontier.store(s.frontier, Ordering::Relaxed);
-        p.dedup_hits.store(s.dedup_hits, Ordering::Relaxed);
-        p.dedup_probes.store(s.dedup_probes, Ordering::Relaxed);
-        p.pruned_arcs.store(s.pruned_arcs, Ordering::Relaxed);
-        p.steals.store(s.steals, Ordering::Relaxed);
-        p.worker_panics.store(s.worker_panics, Ordering::Relaxed);
-        p.table_capacity.store(s.table_capacity, Ordering::Relaxed);
-        p.mem_bytes.store(s.mem_bytes, Ordering::Relaxed);
-        p.elapsed_nanos
-            .store(s.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64, Ordering::Relaxed);
-        p.seq.fetch_add(1, Ordering::Release);
+    /// The closing publication: waits for the lock, so a monitor sees
+    /// the result's record even when the run ends inside one sampling
+    /// interval.
+    fn publish(&self, stats: ExplorationStats) {
+        let mut last = lock_clean(&self.inner.last);
+        *last = (last.0 + 1, stats);
     }
 }
 
-/// One point-in-time sample of a running exploration, read through
-/// [`ProgressSink::sample`].
-///
-/// `Copy` and heap-free by construction, like [`weakord_obs::Event`]:
-/// sampling never allocates on either side. All counters are monotone
-/// within one engine except `frontier`, which is the instantaneous
-/// admitted-but-unexpanded population (a gauge that rises and falls).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ProgressSnapshot {
-    /// Publication count; 0 means nothing was published yet.
-    pub seq: u64,
-    /// Distinct states admitted to the visited set so far.
-    pub states: u64,
-    /// States admitted but not yet expanded (frontier depth).
-    pub frontier: u64,
-    /// Successor arcs that landed on an already-visited state.
-    pub dedup_hits: u64,
-    /// Successor arcs probed against the visited set.
-    pub dedup_probes: u64,
-    /// Arcs pruned by the partial-order reduction.
-    pub pruned_arcs: u64,
-    /// Successful work-steals.
-    pub steals: u64,
-    /// Worker panics absorbed so far.
-    pub worker_panics: u64,
-    /// Slots across the fingerprint table's active levels.
-    pub table_capacity: u64,
-    /// Resident bytes of the visited set's in-RAM payloads.
-    pub mem_bytes: u64,
-    /// Cumulative exploration wall-clock (across resume legs).
-    pub elapsed: Duration,
-}
-
-impl ProgressSnapshot {
-    /// Distinct states per second of exploration wall-clock so far.
-    pub fn states_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.states as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Load factor of the fingerprint table's active levels.
-    pub fn table_occupancy(&self) -> f64 {
-        if self.table_capacity > 0 {
-            self.states as f64 / self.table_capacity as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of probed arcs deduplicated away.
-    pub fn dedup_hit_rate(&self) -> f64 {
-        if self.dedup_probes > 0 {
-            self.dedup_hits as f64 / self.dedup_probes as f64
-        } else {
-            0.0
-        }
-    }
+/// A duration in whole nanoseconds, saturating at `u64::MAX` (584
+/// years).
+pub(crate) fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Why an exploration stopped before exhausting the state space.
@@ -433,6 +338,30 @@ pub enum TruncationReason {
     Cancelled,
 }
 
+impl TruncationReason {
+    /// Every reason, in declaration order.
+    const ALL: [TruncationReason; 5] = [
+        TruncationReason::MaxStates,
+        TruncationReason::Deadline,
+        TruncationReason::WorkerPanic,
+        TruncationReason::Resumable,
+        TruncationReason::Cancelled,
+    ];
+
+    /// The reason's stable machine-readable name, as metric keys
+    /// (`<ns>.truncated.<name>`) and serve result lines spell it;
+    /// `Display` gives the human wording.
+    pub fn name(self) -> &'static str {
+        match self {
+            TruncationReason::MaxStates => "max-states",
+            TruncationReason::Deadline => "deadline",
+            TruncationReason::WorkerPanic => "worker-panic",
+            TruncationReason::Resumable => "resumable",
+            TruncationReason::Cancelled => "cancelled",
+        }
+    }
+}
+
 impl std::fmt::Display for TruncationReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -446,14 +375,22 @@ impl std::fmt::Display for TruncationReason {
 }
 
 /// Run diagnostics for one exploration: throughput, dedup behavior, and
-/// parallel-engine counters.
+/// parallel-engine counters. The one stats record: an engine publishes
+/// it live through a [`ProgressSink`], carries its cumulative counters
+/// through every checkpoint (see [`crate::checkpoint::Snapshot`]) and
+/// returns it in [`Exploration::stats`].
 ///
 /// Everything here varies run to run (timing, scheduling); semantic
-/// results live on [`Exploration`] itself.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// results live on [`Exploration`] itself. On a resumed run the counters
+/// are cumulative across legs unless a field says otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExplorationStats {
     /// Distinct states admitted to the visited set.
     pub distinct_states: usize,
+    /// States admitted but not yet expanded when the record was taken: a
+    /// gauge that rises and falls while the run goes, 0 once it
+    /// completes, and the work left on a truncated run.
+    pub frontier: usize,
     /// Wall-clock time of the exploration (cumulative across resumed
     /// legs), [`setup`](Self::setup) included; the teardown after it,
     /// dropping the visited set, is not.
@@ -518,13 +455,14 @@ pub struct ExplorationStats {
 }
 
 impl ExplorationStats {
-    /// Distinct states admitted per second of wall-clock time.
+    /// Distinct states admitted per second of wall-clock time (`0.0`
+    /// for a zero duration).
     pub fn states_per_sec(&self) -> f64 {
         let secs = self.duration.as_secs_f64();
         if secs > 0.0 {
             self.distinct_states as f64 / secs
         } else {
-            f64::INFINITY
+            0.0
         }
     }
 
@@ -586,26 +524,12 @@ impl ExplorationStats {
         reg.counter(format!("{ns}.peak-frontier"), self.peak_frontier as u64);
         reg.counter(format!("{ns}.threads"), self.threads as u64);
         reg.counter(format!("{ns}.truncated"), u64::from(self.truncation.is_some()));
-        reg.counter(
-            format!("{ns}.truncated.max-states"),
-            u64::from(self.truncation == Some(TruncationReason::MaxStates)),
-        );
-        reg.counter(
-            format!("{ns}.truncated.deadline"),
-            u64::from(self.truncation == Some(TruncationReason::Deadline)),
-        );
-        reg.counter(
-            format!("{ns}.truncated.worker-panic"),
-            u64::from(self.truncation == Some(TruncationReason::WorkerPanic)),
-        );
-        reg.counter(
-            format!("{ns}.truncated.resumable"),
-            u64::from(self.truncation == Some(TruncationReason::Resumable)),
-        );
-        reg.counter(
-            format!("{ns}.truncated.cancelled"),
-            u64::from(self.truncation == Some(TruncationReason::Cancelled)),
-        );
+        for reason in TruncationReason::ALL {
+            reg.counter(
+                format!("{ns}.truncated.{}", reason.name()),
+                u64::from(self.truncation == Some(reason)),
+            );
+        }
         reg.counter(format!("{ns}.worker-panics"), u64::from(self.worker_panics));
         reg.counter(format!("{ns}.checkpoints"), u64::from(self.checkpoints));
         reg.gauge(format!("{ns}.checkpoint-time-ms"), self.checkpoint_time.as_secs_f64() * 1e3);
@@ -617,9 +541,8 @@ impl ExplorationStats {
         reg.gauge(format!("{ns}.setup-ms"), self.setup.as_secs_f64() * 1e3);
         reg.gauge(format!("{ns}.dedup-hit-rate"), self.dedup_hit_rate());
         reg.gauge(format!("{ns}.reduction-ratio"), self.reduction_ratio());
-        let sps = self.states_per_sec();
-        if sps.is_finite() {
-            reg.gauge(format!("{ns}.states-per-sec"), sps);
+        if !self.duration.is_zero() {
+            reg.gauge(format!("{ns}.states-per-sec"), self.states_per_sec());
         }
         if self.table_capacity > 0 {
             reg.counter(format!("{ns}.table-capacity"), self.table_capacity);
@@ -636,29 +559,6 @@ impl ExplorationStats {
                 if *n > 0 {
                     reg.counter(format!("{ns}.shard{s}.states"), *n as u64);
                 }
-            }
-        }
-    }
-
-    /// Emits the per-shard visited-set sizes as counter samples on the
-    /// explorer's shard tracks at timestamp `at` (the Chrome exporter
-    /// renders one track per shard under the "explorer" process).
-    pub fn trace_shards(&self, at: u64, tracer: &mut impl Tracer) {
-        if !tracer.enabled() {
-            return;
-        }
-        let Some(shards) = &self.shard_states else {
-            return;
-        };
-        for (s, n) in shards.iter().enumerate() {
-            if *n > 0 {
-                tracer.record(Event::counter(
-                    at,
-                    Track::Shard(s as u16),
-                    "mc",
-                    "states",
-                    *n as i64,
-                ));
             }
         }
     }
@@ -816,8 +716,9 @@ pub struct Opts<'a> {
     /// Stops the run at the next safepoint once cancelled; the run
     /// truncates with [`TruncationReason::Cancelled`].
     pub cancel: Option<&'a CancelToken>,
-    /// Receives periodic counter samples. Pure observation: results
-    /// are identical with or without a sink.
+    /// Receives the run's stats record periodically and once at the
+    /// end. Pure observation: results are identical with or without a
+    /// sink.
     pub progress: Option<&'a ProgressSink>,
     /// Crash tolerance: autosave, and optionally resume first.
     pub checkpoint: Checkpoint<'a>,
@@ -877,7 +778,8 @@ struct CkptState<'a> {
     parked: AtomicUsize,
     /// Next admission count that triggers a periodic save.
     next_at: AtomicUsize,
-    /// Periodic saves completed.
+    /// Checkpoints this leg has taken, counted before each is built so
+    /// that its own record includes it.
     written: AtomicU32,
     /// Wall-clock nanoseconds spent writing checkpoints.
     write_nanos: AtomicU64,
@@ -935,7 +837,7 @@ struct Engine<'a, M: Machine> {
     /// costs one early or late split.
     idle: AtomicUsize,
     /// Panics absorbed by the isolation protocol.
-    worker_panics: AtomicU64,
+    worker_panics: AtomicU32,
     steals: AtomicU64,
     peak_frontier: AtomicUsize,
     pruned_arcs: AtomicU64,
@@ -945,22 +847,22 @@ struct Engine<'a, M: Machine> {
     reduction: Option<FutureTable>,
     /// Checkpoint rendezvous, when the run checkpoints.
     ckpt: Option<CkptState<'a>>,
-    /// Results merged in from a resumed checkpoint (empty otherwise):
-    /// outcomes, deadlocks, checkpoints written, prior elapsed nanos.
+    /// What a resumed run inherits from its checkpoint (empty on a
+    /// fresh run).
     base: ResumeBase,
-    /// When this leg of the run started (for cumulative elapsed time
-    /// in periodic checkpoints).
+    /// When this leg of the run started.
     started: Instant,
+    /// How long this leg took to start its workers (set just before).
+    setup: Duration,
 }
 
-/// What a resumed run inherits from its checkpoint.
+/// What a resumed run inherits from its checkpoint: the results so far
+/// and the record whose counters this leg's add to.
 #[derive(Default)]
 struct ResumeBase {
     outcomes: BTreeSet<Outcome>,
     deadlocks: u64,
-    checkpoints: u32,
-    elapsed_nanos: u64,
-    checkpoint_nanos: u64,
+    stats: ExplorationStats,
 }
 
 /// What one worker accumulated locally; merged at join.
@@ -1007,7 +909,7 @@ impl<'a, M: Machine> Engine<'a, M> {
             overshoot_nanos: AtomicU64::new(0),
             active: AtomicUsize::new(1),
             idle: AtomicUsize::new(0),
-            worker_panics: AtomicU64::new(0),
+            worker_panics: AtomicU32::new(0),
             steals: AtomicU64::new(0),
             peak_frontier: AtomicUsize::new(0),
             pruned_arcs: AtomicU64::new(0),
@@ -1018,6 +920,7 @@ impl<'a, M: Machine> Engine<'a, M> {
             ckpt: None,
             base: ResumeBase::default(),
             started,
+            setup: Duration::ZERO,
         }
     }
 
@@ -1139,8 +1042,8 @@ impl<'a, M: Machine> Engine<'a, M> {
 
     /// Notes the clock ran `now - deadline` past the budget.
     fn record_overshoot(&self, deadline: Instant, now: Instant) {
-        let ns = now.saturating_duration_since(deadline).as_nanos().min(u128::from(u64::MAX));
-        self.overshoot_nanos.fetch_max(ns as u64, Ordering::Relaxed);
+        let ns = nanos(now.saturating_duration_since(deadline));
+        self.overshoot_nanos.fetch_max(ns, Ordering::Relaxed);
     }
 
     /// The progress safepoint: when a sample is due, flush this
@@ -1150,28 +1053,45 @@ impl<'a, M: Machine> Engine<'a, M> {
         if let Some(p) = &self.progress {
             p.tick(|| {
                 self.visited.flush_telemetry(tel);
-                self.progress_sample()
+                self.stats(None)
             });
         }
     }
 
-    /// The engine's current counters as a progress sample. Every
-    /// source is monotone within one engine except `pending`, which is
-    /// published as the `frontier` gauge.
-    fn progress_sample(&self) -> ProgressSnapshot {
+    /// The run's record so far: this leg's counters added to those the
+    /// resumed checkpoint carried (none on a fresh run). The one
+    /// builder behind the result, every progress publication and every
+    /// checkpoint. Gauges of the visited set and of this leg (frontier,
+    /// setup, threads, table and spill sizes) are this leg's alone.
+    fn stats(&self, truncation: Option<TruncationReason>) -> ExplorationStats {
+        let base = &self.base.stats;
+        let (written, write_nanos) = self.ckpt.as_ref().map_or((0, 0), |c| {
+            (c.written.load(Ordering::Relaxed), c.write_nanos.load(Ordering::Relaxed))
+        });
+        let overshoot = Duration::from_nanos(self.overshoot_nanos.load(Ordering::Relaxed));
         let v = self.visited.counters();
-        ProgressSnapshot {
-            seq: 0,
-            states: self.visited.len() as u64,
-            frontier: self.pending.load(Ordering::Relaxed) as u64,
-            dedup_hits: v.dedup_hits,
-            dedup_probes: v.dedup_probes,
-            pruned_arcs: self.pruned_arcs.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
+        ExplorationStats {
+            distinct_states: self.visited.len(),
+            frontier: self.pending.load(Ordering::Relaxed),
+            duration: base.duration + self.started.elapsed(),
+            setup: self.setup,
+            dedup_hits: base.dedup_hits + v.dedup_hits,
+            dedup_probes: base.dedup_probes + v.dedup_probes,
+            peak_frontier: base.peak_frontier.max(self.peak_frontier.load(Ordering::Relaxed)),
+            threads: self.frontiers.len(),
+            steals: base.steals + self.steals.load(Ordering::Relaxed),
+            pruned_arcs: base.pruned_arcs + self.pruned_arcs.load(Ordering::Relaxed),
+            truncation,
+            worker_panics: base.worker_panics + self.worker_panics.load(Ordering::Relaxed),
+            deadline_overshoot: base.deadline_overshoot.max(overshoot),
+            checkpoints: base.checkpoints + written,
+            checkpoint_time: base.checkpoint_time + Duration::from_nanos(write_nanos),
+            probe_steps: v.probe_steps,
             table_capacity: v.table_capacity,
+            spilled_states: v.spilled_states,
+            spill_bytes: v.spill_bytes,
             mem_bytes: v.mem_bytes,
-            elapsed: Duration::from_nanos(self.base.elapsed_nanos) + self.started.elapsed(),
+            shard_states: Some(self.visited.shard_sizes()),
         }
     }
 
@@ -1244,14 +1164,10 @@ impl<'a, M: Machine> Engine<'a, M> {
             std::thread::yield_now();
         }
         let wrote = Instant::now();
-        let snap = self.snapshot(None);
-        match c.sink.write(&snap) {
+        let n = c.written.fetch_add(1, Ordering::SeqCst) + 1;
+        match c.sink.write(&self.snapshot(None)) {
             Ok(()) => {
-                c.write_nanos.fetch_add(
-                    wrote.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-                    Ordering::Relaxed,
-                );
-                let n = c.written.fetch_add(1, Ordering::SeqCst) + 1;
+                c.write_nanos.fetch_add(nanos(wrote.elapsed()), Ordering::Relaxed);
                 c.next_at.store(self.visited.len() + c.sink.cfg.every, Ordering::SeqCst);
                 if c.sink.cfg.abort_after.is_some_and(|k| n >= k) {
                     self.truncate(TruncationReason::Resumable);
@@ -1300,36 +1216,7 @@ impl<'a, M: Machine> Engine<'a, M> {
             .flat_map(|f| lock_clean(f).iter().copied().collect::<Vec<_>>())
             .map(|id| self.decode_state(id))
             .collect();
-        Snapshot {
-            outcomes,
-            deadlocks,
-            counters: self.persisted_counters(),
-            truncation,
-            shards,
-            frontier,
-        }
-    }
-
-    fn persisted_counters(&self) -> PersistedCounters {
-        let (written, write_nanos) = match &self.ckpt {
-            Some(c) => (c.written.load(Ordering::Relaxed), c.write_nanos.load(Ordering::Relaxed)),
-            None => (0, 0),
-        };
-        let v = self.visited.counters();
-        PersistedCounters {
-            distinct: self.visited.len() as u64,
-            dedup_hits: v.dedup_hits,
-            dedup_probes: v.dedup_probes,
-            pruned_arcs: self.pruned_arcs.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            peak_frontier: self.peak_frontier.load(Ordering::Relaxed) as u64,
-            elapsed_nanos: self.base.elapsed_nanos
-                + self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-            checkpoints: self.base.checkpoints + written,
-            ckpt_write_nanos: self.base.checkpoint_nanos + write_nanos,
-            worker_panics: self.worker_panics.load(Ordering::Relaxed) as u32,
-            overshoot_nanos: self.overshoot_nanos.load(Ordering::Relaxed),
-        }
+        Snapshot { outcomes, deadlocks, stats: self.stats(truncation), shards, frontier }
     }
 
     /// One worker's main loop. Worker 0 carries `peers`: the instant
@@ -1604,8 +1491,9 @@ impl<'a, M: Machine> Engine<'a, M> {
     }
 
     /// Rebuilds a checkpoint's visited set (re-encoding each state;
-    /// shard and id assignment are recomputed), restores the durable
-    /// counters it carried, and returns its frontier for [`Self::requeue`].
+    /// shard and id assignment are recomputed), keeps the results and
+    /// record it carried as this leg's base, and returns its frontier
+    /// for [`Self::requeue`].
     fn restore(&mut self, snap: Snapshot<M::State>) -> Vec<M::State> {
         let mut buf = Vec::new();
         for states in snap.shards {
@@ -1615,21 +1503,8 @@ impl<'a, M: Machine> Engine<'a, M> {
                 self.visited.insert(hash_bytes(&buf), &buf);
             }
         }
-        let c = snap.counters;
-        self.visited.restore_probe_counters(c.dedup_hits, c.dedup_probes);
-        self.steals.store(c.steals, Ordering::Relaxed);
-        self.pruned_arcs.store(c.pruned_arcs, Ordering::Relaxed);
-        self.peak_frontier
-            .store(usize::try_from(c.peak_frontier).unwrap_or(usize::MAX), Ordering::Relaxed);
-        self.worker_panics.store(u64::from(c.worker_panics), Ordering::Relaxed);
-        self.overshoot_nanos.store(c.overshoot_nanos, Ordering::Relaxed);
-        self.base = ResumeBase {
-            outcomes: snap.outcomes,
-            deadlocks: snap.deadlocks,
-            checkpoints: c.checkpoints,
-            elapsed_nanos: c.elapsed_nanos,
-            checkpoint_nanos: c.ckpt_write_nanos,
-        };
+        self.base =
+            ResumeBase { outcomes: snap.outcomes, deadlocks: snap.deadlocks, stats: snap.stats };
         snap.frontier
     }
 
@@ -1653,11 +1528,9 @@ impl<'a, M: Machine> Engine<'a, M> {
     /// Folds up the joined run. A checkpointed run first surfaces any
     /// mid-run save failure and writes its final checkpoint, so
     /// deadline/cap-truncated and even completed runs are resumable.
-    fn finish(
-        self,
-        results: Vec<WorkerResult>,
-        setup: Duration,
-    ) -> Result<Exploration, CheckpointError> {
+    /// The returned record is also the sink's closing publication.
+    fn finish(self, results: Vec<WorkerResult>) -> Result<Exploration, CheckpointError> {
+        let truncation = self.truncation();
         if let Some(c) = &self.ckpt {
             if c.failed.load(Ordering::Relaxed) {
                 return Err(lock_clean(&c.error)
@@ -1665,15 +1538,13 @@ impl<'a, M: Machine> Engine<'a, M> {
                     .unwrap_or(CheckpointError::Malformed("checkpoint write failed")));
             }
             let wrote = Instant::now();
-            c.sink.write(&self.snapshot(self.truncation()))?;
-            c.write_nanos.fetch_add(
-                wrote.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-                Ordering::Relaxed,
-            );
             c.written.fetch_add(1, Ordering::Relaxed);
+            c.sink.write(&self.snapshot(truncation))?;
+            c.write_nanos.fetch_add(nanos(wrote.elapsed()), Ordering::Relaxed);
         }
+        let stats = self.stats(truncation);
         if let Some(p) = &self.progress {
-            p.publish(&self.progress_sample());
+            p.publish(stats);
         }
         let mut outcomes = self.base.outcomes.clone();
         let mut deadlocks = usize::try_from(self.base.deadlocks).unwrap_or(usize::MAX);
@@ -1681,31 +1552,6 @@ impl<'a, M: Machine> Engine<'a, M> {
             outcomes.extend(r.outcomes);
             deadlocks += r.deadlocks;
         }
-        let truncation = self.truncation();
-        let counters = self.persisted_counters();
-        let v = self.visited.counters();
-        let stats = ExplorationStats {
-            distinct_states: self.visited.len(),
-            duration: Duration::from_nanos(self.base.elapsed_nanos) + self.started.elapsed(),
-            setup,
-            dedup_hits: counters.dedup_hits,
-            dedup_probes: counters.dedup_probes,
-            peak_frontier: self.peak_frontier.load(Ordering::Relaxed),
-            threads: self.frontiers.len(),
-            steals: counters.steals,
-            pruned_arcs: counters.pruned_arcs,
-            truncation,
-            worker_panics: counters.worker_panics,
-            deadline_overshoot: Duration::from_nanos(counters.overshoot_nanos),
-            checkpoints: counters.checkpoints,
-            checkpoint_time: Duration::from_nanos(counters.ckpt_write_nanos),
-            probe_steps: v.probe_steps,
-            table_capacity: v.table_capacity,
-            spilled_states: v.spilled_states,
-            spill_bytes: v.spill_bytes,
-            mem_bytes: v.mem_bytes,
-            shard_states: Some(self.visited.shard_sizes()),
-        };
         Ok(Exploration { outcomes, states: stats.distinct_states, deadlocks, truncation, stats })
     }
 }
@@ -1742,9 +1588,9 @@ pub fn run<M: Machine>(
         Some(frontier) => engine.requeue(frontier),
         None => engine.seed_root(),
     }
-    let setup = engine.started.elapsed();
+    engine.setup = engine.started.elapsed();
     let results = run_workers(&engine, workers);
-    engine.finish(results, setup)
+    engine.finish(results)
 }
 
 /// [`run`] with no options: not cancellable, unmonitored, not
@@ -1842,6 +1688,8 @@ pub fn explore_seq<M: Machine>(machine: &M, prog: &Program, limits: Limits) -> E
             }
             if visited.len() >= limits.max_states {
                 truncation = Some(TruncationReason::MaxStates);
+                // Still unexpanded, like the engine's requeued state.
+                stack.push(state);
                 break 'search;
             }
             visited.insert(next.clone());
@@ -1851,25 +1699,16 @@ pub fn explore_seq<M: Machine>(machine: &M, prog: &Program, limits: Limits) -> E
     }
     let stats = ExplorationStats {
         distinct_states: visited.len(),
+        frontier: stack.len(),
         duration: started.elapsed(),
         setup,
         dedup_hits,
         dedup_probes,
         peak_frontier,
         threads: 1,
-        steals: 0,
         pruned_arcs,
         truncation,
-        worker_panics: 0,
-        deadline_overshoot: Duration::ZERO,
-        checkpoints: 0,
-        checkpoint_time: Duration::ZERO,
-        probe_steps: 0,
-        table_capacity: 0,
-        spilled_states: 0,
-        spill_bytes: 0,
-        mem_bytes: 0,
-        shard_states: None,
+        ..ExplorationStats::default()
     };
     Exploration { outcomes, states: visited.len(), deadlocks, truncation, stats }
 }
@@ -1877,6 +1716,7 @@ pub fn explore_seq<M: Machine>(machine: &M, prog: &Program, limits: Limits) -> E
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CkptStore;
     use crate::machines::ScMachine;
     use weakord_progs::litmus;
 
@@ -2027,13 +1867,14 @@ mod tests {
         };
         let watched = watch(&sink);
         assert_eq!(watched, plain, "progress must not perturb results");
-        let last = sink.sample();
-        assert!(last.seq > 0, "the final publication always lands");
-        assert_eq!(last.states as usize, watched.states);
+        let (seq, last) = sink.sample();
+        assert!(seq > 0, "the final publication always lands");
+        assert_eq!(last.distinct_states, watched.states);
         assert_eq!(last.frontier, 0, "a finished run has an empty frontier");
         assert_eq!(last.dedup_probes, watched.stats.dedup_probes);
-        assert!(last.elapsed > Duration::ZERO);
+        assert!(last.duration > Duration::ZERO);
         assert!(last.states_per_sec() > 0.0);
+        assert_eq!(last, watched.stats);
         // A concurrent monitor sees monotone counters.
         let sink = ProgressSink::with_interval(Duration::ZERO);
         let (final_states, samples) = std::thread::scope(|s| {
@@ -2041,14 +1882,17 @@ mod tests {
                 let sink = sink.clone();
                 s.spawn(move || {
                     let mut seen = Vec::new();
-                    let mut last = ProgressSnapshot::default();
+                    let mut last = (0, ExplorationStats::default());
                     for _ in 0..10_000 {
                         let cur = sink.sample();
-                        if cur.seq != last.seq {
-                            assert!(cur.states >= last.states, "states regressed");
-                            assert!(cur.dedup_probes >= last.dedup_probes, "probes regressed");
-                            assert!(cur.seq > last.seq, "seq regressed");
-                            seen.push(cur);
+                        if cur.0 != last.0 {
+                            assert!(
+                                cur.1.distinct_states >= last.1.distinct_states,
+                                "states regressed"
+                            );
+                            assert!(cur.1.dedup_probes >= last.1.dedup_probes, "probes regressed");
+                            assert!(cur.0 > last.0, "seq regressed");
+                            seen.push(cur.1);
                             last = cur;
                         }
                         std::thread::yield_now();
@@ -2059,7 +1903,7 @@ mod tests {
             (watch(&sink).states, monitor.join().expect("monitor thread"))
         });
         assert!(!samples.is_empty(), "at least the final publication is visible");
-        assert!(samples.last().expect("non-empty").states as usize <= final_states);
+        assert!(samples.last().expect("non-empty").distinct_states <= final_states);
     }
 
     /// `setup` is the part of `duration` before the workers start: on a
@@ -2093,6 +1937,72 @@ mod tests {
         resumed.stats.export_metrics("x", &mut reg);
         assert_eq!(reg.get_gauge("x.setup-ms"), Some(resumed.stats.setup.as_secs_f64() * 1e3));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A [`CkptStore`] in memory that counts its writes.
+    #[derive(Default)]
+    struct CountingStore {
+        files: Mutex<std::collections::HashMap<std::path::PathBuf, Vec<u8>>>,
+        writes: AtomicU32,
+    }
+
+    impl CkptStore for CountingStore {
+        fn write_atomic(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+            self.writes.fetch_add(1, Ordering::SeqCst);
+            lock_clean(&self.files).insert(path.to_path_buf(), bytes.to_vec());
+            Ok(())
+        }
+
+        fn read(&self, path: &std::path::Path) -> std::io::Result<Vec<u8>> {
+            lock_clean(&self.files)
+                .get(path)
+                .cloned()
+                .ok_or_else(|| std::io::ErrorKind::NotFound.into())
+        }
+
+        fn remove_file(&self, path: &std::path::Path) -> std::io::Result<()> {
+            lock_clean(&self.files).remove(path);
+            Ok(())
+        }
+    }
+
+    /// A run suspended at every periodic checkpoint and resumed to
+    /// completion counts every checkpoint it wrote, across all its
+    /// legs, and its cumulative counters equal an uninterrupted run's:
+    /// a suspension parks every worker at a safepoint, so no state is
+    /// expanded twice.
+    #[test]
+    fn a_resumed_run_counts_every_checkpoint_and_keeps_its_counters() {
+        use crate::machines::WoDef2Machine;
+        let (machine, lit) = (WoDef2Machine::default(), litmus::iriw());
+        for (limits, every) in [(Limits::with_threads(2), 1_000), (Limits::reduced(), 100)] {
+            let clean = explore(&machine, &lit.program, limits);
+            let store = Arc::new(CountingStore::default());
+            let cfg = CheckpointCfg {
+                dir: "ckpt".into(),
+                every,
+                abort_after: Some(1),
+                store: Some(store.clone()),
+            };
+            let leg = |checkpoint| {
+                let opts = Opts { checkpoint, ..Opts::default() };
+                run(&machine, &lit.program, limits, &opts).expect("checkpoint IO")
+            };
+            let mut ex = leg(Checkpoint::Fresh(&cfg));
+            let mut legs = 1;
+            while ex.truncation == Some(TruncationReason::Resumable) {
+                ex = leg(Checkpoint::Resume(&cfg));
+                legs += 1;
+            }
+            let what = format!("{:?} after {legs} legs", limits.reduction);
+            assert!(legs > 2, "{what}: the run must really be suspended");
+            assert_eq!(ex, clean, "{what}");
+            assert_eq!(ex.stats.checkpoints, store.writes.load(Ordering::SeqCst), "{what}");
+            let counters = |s: &ExplorationStats| {
+                (s.distinct_states, s.dedup_hits, s.dedup_probes, s.pruned_arcs)
+            };
+            assert_eq!(counters(&ex.stats), counters(&clean.stats), "{what}");
+        }
     }
 
     /// A memory budget small enough to force spilling must not change

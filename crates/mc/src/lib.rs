@@ -53,8 +53,7 @@ pub use contract::{
 };
 pub use explore::{
     explore, explore_seq, find_witness, run, CancelToken, Checkpoint, Exploration,
-    ExplorationStats, Limits, Opts, ProgressSink, ProgressSnapshot, Reduction, TruncationReason,
-    Witness, N_SHARDS,
+    ExplorationStats, Limits, Opts, ProgressSink, Reduction, TruncationReason, Witness, N_SHARDS,
 };
 pub use machine::{
     advance_skipping_delays, advance_skipping_delays_and_fences, outcome_if_halted, DeliveryClass,

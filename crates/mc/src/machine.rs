@@ -124,7 +124,7 @@ pub enum Label {
 impl Label {
     /// The conflict-relevant shape of this transition, for the
     /// partial-order reduction's independence relation
-    /// (see [`crate::reduce`]).
+    /// (see [`crate::Reduction::Ample`]).
     pub fn footprint(&self) -> Footprint {
         match *self {
             Label::Op(rec) => Footprint {
@@ -281,12 +281,13 @@ pub trait Machine: Sync {
     /// by the caller), drawing scratch states from `pool`. An empty set
     /// on a non-final state is a deadlock.
     ///
-    /// Implementations take every successor from `pool` via
-    /// [`pooled_clone`] — overwriting a recycled state in place reuses
-    /// its heap allocations, turning each successor clone into a field
-    /// copy — and push every scratch state they abandon (a disabled
-    /// transition) back. `pool` may hold states of any shape, from any
-    /// program: a successor must not depend on what it was cloned over.
+    /// Implementations take every successor from `pool` (this crate's
+    /// machines through a `pooled_clone` helper) — overwriting a
+    /// recycled state in place reuses its heap allocations, turning each
+    /// successor clone into a field copy — and push every scratch state
+    /// they abandon (a disabled transition) back. `pool` may hold states
+    /// of any shape, from any program: a successor must not depend on
+    /// what it was cloned over.
     ///
     /// This pays off for callers that *discard* most successor states:
     /// the parallel explorer keeps admitted states encoded (a flat byte

@@ -17,8 +17,8 @@
 //!
 //! The machines over this substrate (cache-delay and the three weakly
 //! ordered ones) differ only in how synchronization accesses wait, so
-//! they share one successor body, [`successors_into`], parameterized by
-//! a [`SyncRule`].
+//! they share one successor body, `successors_into`, parameterized by
+//! a `SyncRule`.
 
 use weakord_core::{Loc, ProcId, Value};
 use weakord_progs::{Access, Outcome, Program, ThreadEvent, ThreadState};
@@ -66,7 +66,7 @@ pub struct CacheState {
 
 /// Hand-written so `clone_from` reuses the nested buffers (the derived
 /// impl's `clone_from` falls back to a fresh clone), making
-/// [`crate::machine::pooled_clone`] allocation-free.
+/// the engine's pooled successor clones allocation-free.
 impl Clone for CacheState {
     fn clone(&self) -> Self {
         CacheState {

@@ -470,9 +470,9 @@ mod tests {
         let opts = Opts { progress: Some(&sink), ..Opts::default() };
         let watched = run(&machine, &lit.program, limits, &opts).expect("no checkpoint");
         assert_eq!(watched, oracle, "progress must not perturb results");
-        let last = sink.sample();
-        assert!(last.seq > 0, "the sink was published to");
-        assert_eq!(last.states as usize, oracle.states);
+        let (seq, last) = sink.sample();
+        assert!(seq > 0, "the sink was published to");
+        assert_eq!(last.distinct_states, oracle.states);
         assert_eq!(last.frontier, 0, "a finished search has an empty frontier");
     }
 

@@ -324,7 +324,8 @@ impl ProgramConformance {
     }
 }
 
-/// Checks whether `prog` obeys an arbitrary [`SynchronizationModel`]:
+/// Checks whether `prog` obeys an arbitrary
+/// [`SynchronizationModel`](weakord_core::SynchronizationModel):
 /// Definition 3's quantification ("for any execution on the idealized
 /// system…") applied to the given model's per-execution judge.
 ///

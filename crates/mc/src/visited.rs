@@ -116,8 +116,8 @@ pub struct VisitedCounters {
     pub spilled_states: u64,
     /// Bytes appended to the spill file.
     pub spill_bytes: u64,
-    /// In-RAM payload bytes (encoded states kept in the slabs, plus
-    /// [`ENTRY_OVERHEAD`] each).
+    /// In-RAM payload bytes (encoded states kept in the slabs, plus a
+    /// fixed bookkeeping estimate per entry).
     pub mem_bytes: u64,
     /// Bytes held by the fingerprint levels and slab segment spines
     /// built so far (0 before the first admission).
@@ -667,13 +667,6 @@ impl VisitedSet {
             table_bytes: self.table_bytes.load(Ordering::Relaxed) as u64,
             table_capacity,
         }
-    }
-
-    /// Overwrites the dedup telemetry (a resume restores the counters
-    /// its checkpoint carried, so stats stay cumulative across legs).
-    pub fn restore_probe_counters(&self, hits: u64, probes: u64) {
-        self.dedup_hits.store(hits, Ordering::Relaxed);
-        self.dedup_probes.store(probes, Ordering::Relaxed);
     }
 }
 

@@ -79,17 +79,10 @@ pub fn run_attempt(
     }, other => unreachable!("machine `{other}` was validated at admission"))
 }
 
-/// Short stable token for a truncation reason, as written into result
-/// lines (`"truncated": null` for a complete run).
-pub fn truncation_token(t: Option<TruncationReason>) -> &'static str {
-    match t {
-        None => "null",
-        Some(TruncationReason::MaxStates) => "\"max-states\"",
-        Some(TruncationReason::Deadline) => "\"deadline\"",
-        Some(TruncationReason::WorkerPanic) => "\"worker-panic\"",
-        Some(TruncationReason::Resumable) => "\"resumable\"",
-        Some(TruncationReason::Cancelled) => "\"cancelled\"",
-    }
+/// A truncation reason as written into result lines: its quoted
+/// [`TruncationReason::name`], or `null` for a complete run.
+pub fn truncation_token(t: Option<TruncationReason>) -> String {
+    t.map_or_else(|| "null".to_string(), |r| format!("\"{}\"", r.name()))
 }
 
 /// Whether a finished exploration may serve future submissions of the

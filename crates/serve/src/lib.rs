@@ -33,7 +33,7 @@
 //!   the [`store::Vfs`] trait: [`store::RealVfs`] with the full fsync
 //!   discipline in production, [`store::FaultVfs`] (seeded torn
 //!   writes, failed renames, ENOSPC, transient EIO, crash points)
-//!   under test. Startup runs a [`scrub`] pass that quarantines
+//!   under test. Startup runs a [`scrub()`] pass that quarantines
 //!   corrupt artifacts with a structured report, ENOSPC on the accept
 //!   path sheds explicitly with a `retry_after_ms` hint, and in-flight
 //!   jobs degrade to RAM-only checkpointing when the disk fills.

@@ -341,11 +341,11 @@ impl Shared {
                     JobRow { id: id.clone(), phase: "queued", states: 0, elapsed_ms: 0 }
                 }
                 JobState::Running(m) => {
-                    let p = m.progress.sample();
+                    let (_, p) = m.progress.sample();
                     JobRow {
                         id: id.clone(),
                         phase: "running",
-                        states: p.states,
+                        states: p.distinct_states as u64,
                         elapsed_ms: u64::try_from(m.started.elapsed().as_millis())
                             .unwrap_or(u64::MAX),
                     }
@@ -641,7 +641,7 @@ impl Shared {
         // before the Running state (and its monitor) is replaced.
         let (states, elapsed_ms) = match jobs.get(id) {
             Some(JobState::Running(m)) => (
-                m.progress.sample().states,
+                m.progress.sample().1.distinct_states as u64,
                 u64::try_from(m.started.elapsed().as_millis()).unwrap_or(u64::MAX),
             ),
             _ => (0, 0),

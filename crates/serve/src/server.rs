@@ -199,7 +199,7 @@ impl Server {
 /// job's state count stops moving for `stall_after_ms`.
 fn watchdog_loop(shared: &Arc<Shared>) {
     struct StallTrack {
-        states: u64,
+        states: usize,
         since: Instant,
         dumped: bool,
     }
@@ -212,23 +212,23 @@ fn watchdog_loop(shared: &Arc<Shared>) {
         let running = shared.running_monitors();
         let mut seen: Vec<&str> = Vec::with_capacity(running.len());
         for (id, m) in &running {
-            let p = m.progress.sample();
+            let (_, p) = m.progress.sample();
             shared.flight.record(
                 m.worker,
                 "progress",
                 [
-                    ("states", i64::try_from(p.states).unwrap_or(i64::MAX)),
+                    ("states", i64::try_from(p.distinct_states).unwrap_or(i64::MAX)),
                     ("frontier", i64::try_from(p.frontier).unwrap_or(i64::MAX)),
                 ],
             );
             let now = Instant::now();
             let t = tracks.entry(id.clone()).or_insert(StallTrack {
-                states: p.states,
+                states: p.distinct_states,
                 since: now,
                 dumped: false,
             });
-            if p.states != t.states {
-                t.states = p.states;
+            if p.distinct_states != t.states {
+                t.states = p.distinct_states;
                 t.since = now;
                 t.dumped = false;
             } else if !t.dumped && now.duration_since(t.since) >= stall_after {
@@ -495,11 +495,11 @@ fn stream_until_done(
         }
         seq += 1;
         let (phase, attempt, p) = match shared.monitor(id) {
-            Some(m) => ("running", u64::from(m.attempt), m.progress.sample()),
+            Some(m) => ("running", u64::from(m.attempt), m.progress.sample().1),
             None => ("queued", 0, Default::default()),
         };
         let attempt = bump(&mut floor.attempt, attempt);
-        let states = bump(&mut floor.states, p.states);
+        let states = bump(&mut floor.states, p.distinct_states as u64);
         let dedup_hits = bump(&mut floor.dedup_hits, p.dedup_hits);
         let pruned_arcs = bump(&mut floor.pruned_arcs, p.pruned_arcs);
         let elapsed_ms = u64::try_from(accepted_at.elapsed().as_millis()).unwrap_or(u64::MAX);

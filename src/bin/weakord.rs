@@ -305,15 +305,15 @@ fn spawn_heartbeat(
         let mut last_seq = 0;
         while !flag.load(Ordering::Relaxed) {
             std::thread::sleep(std::time::Duration::from_millis(100));
-            let p = s.sample();
-            if p.seq != last_seq {
-                last_seq = p.seq;
+            let (seq, p) = s.sample();
+            if seq != last_seq {
+                last_seq = seq;
                 eprintln!(
                     "progress: {} states, frontier {}, {:.0} states/s, {:.1}s",
-                    p.states,
+                    p.distinct_states,
                     p.frontier,
                     p.states_per_sec(),
-                    p.elapsed.as_secs_f64()
+                    p.duration.as_secs_f64()
                 );
             }
         }
@@ -361,11 +361,11 @@ fn explore_cli<M: Machine>(m: &M, prog: &Program, limits: Limits, rest: &[&str])
     if let Some((s, stop, handle)) = heartbeat {
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         let _ = handle.join();
-        let p = s.sample();
+        let (_, p) = s.sample();
         eprintln!(
             "progress: finished — {} states in {:.1}s ({:.0} states/s)",
-            p.states,
-            p.elapsed.as_secs_f64(),
+            p.distinct_states,
+            p.duration.as_secs_f64(),
             p.states_per_sec()
         );
     }
