@@ -46,7 +46,7 @@
 //! rename, so a crash *during* a checkpoint leaves the previous one
 //! intact.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -477,23 +477,6 @@ impl<T: Codec> Codec for Vec<T> {
     }
 }
 
-impl<T: Codec> Codec for VecDeque<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (u32::try_from(self.len()).expect("sequence too long for checkpoint")).encode(out);
-        for v in self {
-            v.encode(out);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let n = decode_len(r)?;
-        let mut v = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            v.push_back(T::decode(r)?);
-        }
-        Ok(v)
-    }
-}
-
 impl<A: Codec, B: Codec> Codec for (A, B) {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -604,10 +587,10 @@ impl Codec for TruncationReason {
 // ---------------------------------------------------------------------
 
 /// A quiescent image of the engine: per-shard visited sets plus the
-/// merged frontier, the results so far and the run's stats record. At
-/// the rendezvous that produces one, the frontier holds *exactly* the
-/// admitted-but-unexpanded states, so re-seeding both sets reproduces
-/// the remaining exploration.
+/// merged frontier, the results so far and the run's stats record. The
+/// engine takes one only between segments, with every worker joined, so
+/// the frontier holds *exactly* the admitted-but-unexpanded states, and
+/// re-seeding both sets reproduces the remaining exploration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot<S> {
     /// Outcomes collected so far.

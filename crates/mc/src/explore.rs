@@ -41,7 +41,7 @@
 
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -323,9 +323,10 @@ pub enum TruncationReason {
     MaxStates,
     /// `Limits::deadline` expired.
     Deadline,
-    /// Every worker died to a panic with work still queued, so part of
-    /// the state space was never expanded. (A panic that leaves at
-    /// least one worker alive does **not** truncate: the survivors
+    /// Every worker died to a panic with work still queued (in a
+    /// checkpointed run: every worker of one segment between saves), so
+    /// part of the state space was never expanded. (A panic that leaves
+    /// at least one worker alive does **not** truncate: the survivors
     /// finish the requeued work and only `worker_panics` records it.)
     WorkerPanic,
     /// The run suspended itself at a checkpoint boundary
@@ -697,7 +698,9 @@ pub enum Checkpoint<'a> {
     /// Start fresh and autosave into the config's directory every
     /// `every` admitted states, plus a final save when the run stops
     /// for any reason (so deadline-truncated, cancelled and even
-    /// completed runs are resumable).
+    /// completed runs are resumable). Each autosave ends a segment of
+    /// the run: the workers stop at their next loop top and join, the
+    /// save is written, and they start again from the saved frontier.
     Fresh(&'a CheckpointCfg),
     /// Continue from the checkpoint in the config's directory, and keep
     /// autosaving there. The checkpoint's configuration fingerprint
@@ -757,38 +760,42 @@ impl<'a> CkptSink<'a> {
     }
 }
 
-/// Shared state of the checkpoint rendezvous (present only when the
-/// run checkpoints).
+/// The checkpoint side of a run (present only when the run
+/// checkpoints).
 ///
-/// A consistent snapshot of a parallel exploration needs quiescence:
-/// every worker parked at its loop-top safepoint, holding no in-flight
-/// state (the depth-first hot tail included — it is parked back into the
-/// deque first), so that `frontier = admitted − expanded` exactly. The
-/// first worker to cross the `next_at` admission threshold elects
-/// itself coordinator (CAS on `pause`), everyone else parks, the
-/// coordinator serializes and resumes the fleet. Workers publish their
-/// local outcome/deadlock accumulators into `published` every time they
-/// park or retire, so the coordinator sees every result without
-/// joining.
+/// A consistent snapshot of a parallel exploration needs quiescence: no
+/// state in a worker's hands (the depth-first hot tail included), so
+/// that `frontier = admitted − expanded` exactly. The run gets it the
+/// one way it gets it for the final checkpoint, by joining the workers.
+/// A periodic save ends a *segment*: the first worker to see `next_at`
+/// admissions at its loop top raises [`SAVE`], every worker leaves at
+/// its next loop top as on a truncation, and [`run`] writes the
+/// snapshot and starts the next segment.
 struct CkptState<'a> {
     sink: CkptSink<'a>,
-    /// A coordinator holds this while the fleet is parked.
-    pause: AtomicBool,
-    /// Workers currently parked at the safepoint.
-    parked: AtomicUsize,
-    /// Next admission count that triggers a periodic save.
-    next_at: AtomicUsize,
+    /// Admission count that ends the segment for a periodic save; moved
+    /// only between segments.
+    next_at: usize,
     /// Checkpoints this leg has taken, counted before each is built so
     /// that its own record includes it.
     written: AtomicU32,
     /// Wall-clock nanoseconds spent writing checkpoints.
     write_nanos: AtomicU64,
-    /// Set when a save failed; the run stops and reports `error`.
-    failed: AtomicBool,
-    error: Mutex<Option<CheckpointError>>,
-    /// Per-worker cumulative results, refreshed at every park/retire.
-    published: Vec<Mutex<WorkerResult>>,
 }
+
+/// The truncation reasons a worker or a save raises, in the order
+/// [`Engine::truncation`] ranks them: bit `i` of [`Engine::stop`] is
+/// `RAISED[i]`. [`TruncationReason::WorkerPanic`] is never raised but
+/// inferred at the end: surviving workers may yet finish.
+const RAISED: [TruncationReason; 4] = [
+    TruncationReason::MaxStates,
+    TruncationReason::Deadline,
+    TruncationReason::Cancelled,
+    TruncationReason::Resumable,
+];
+
+/// The [`Engine::stop`] bit that ends a segment for a periodic save.
+const SAVE: u8 = 1 << RAISED.len();
 
 struct Engine<'a, M: Machine> {
     machine: &'a M,
@@ -808,14 +815,9 @@ struct Engine<'a, M: Machine> {
     /// exploration is done (a peer may be mid-expansion and about to
     /// publish new work).
     pending: AtomicUsize,
-    /// Set on truncation: everyone drains out immediately.
-    stop: AtomicBool,
-    capped: AtomicBool,
-    deadline_hit: AtomicBool,
-    /// Set when the run suspends itself at a checkpoint boundary.
-    resumable: AtomicBool,
-    /// Set when the run's [`CancelToken`] fired.
-    cancelled: AtomicBool,
+    /// Why the workers leave at their next loop top: a bit per
+    /// [`RAISED`] reason, plus [`SAVE`]. Zero while a segment runs.
+    stop: AtomicU8,
     /// Cooperative cancellation, checked at the same safepoints as the
     /// deadline (`None`: not cancellable).
     cancel: Option<CancelToken>,
@@ -825,12 +827,6 @@ struct Engine<'a, M: Machine> {
     deadline_at: Option<Instant>,
     /// Worst observed overshoot past the deadline, in nanoseconds.
     overshoot_nanos: AtomicU64,
-    /// Started workers still in their run loop. Worker 0 counts from
-    /// the start, its peers from when it starts them (see
-    /// [`run_workers`]); retiring workers (normal drain-out, stop, or
-    /// absorbed panic) decrement it, so a checkpoint coordinator never
-    /// waits for a worker that has not started or has departed.
-    active: AtomicUsize,
     /// Workers currently out of work, waiting on a peer. A worker with
     /// a hot tail that sees it non-zero parks half the tail for them.
     /// A hint only (`Relaxed`): it publishes no data, and a stale read
@@ -845,10 +841,9 @@ struct Engine<'a, M: Machine> {
     /// `None` when the reduction is off (or unavailable for the
     /// program).
     reduction: Option<FutureTable>,
-    /// Checkpoint rendezvous, when the run checkpoints.
+    /// Periodic saves, when the run checkpoints.
     ckpt: Option<CkptState<'a>>,
-    /// What a resumed run inherits from its checkpoint (empty on a
-    /// fresh run).
+    /// The results so far and the record this leg's counters add to.
     base: ResumeBase,
     /// When this leg of the run started.
     started: Instant,
@@ -856,8 +851,9 @@ struct Engine<'a, M: Machine> {
     setup: Duration,
 }
 
-/// What a resumed run inherits from its checkpoint: the results so far
-/// and the record whose counters this leg's add to.
+/// What the next segment builds on: the results and record a resumed
+/// checkpoint carried (empty on a fresh run), with the results of this
+/// leg's joined segments folded in.
 #[derive(Default)]
 struct ResumeBase {
     outcomes: BTreeSet<Outcome>,
@@ -866,7 +862,7 @@ struct ResumeBase {
 }
 
 /// What one worker accumulated locally; merged at join.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct WorkerResult {
     outcomes: BTreeSet<Outcome>,
     deadlocks: usize,
@@ -898,16 +894,11 @@ impl<'a, M: Machine> Engine<'a, M> {
             visited: VisitedSet::new(limits.memory_budget),
             frontiers: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             pending: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            capped: AtomicBool::new(false),
-            deadline_hit: AtomicBool::new(false),
-            resumable: AtomicBool::new(false),
-            cancelled: AtomicBool::new(false),
+            stop: AtomicU8::new(0),
             cancel: opts.cancel.cloned(),
             progress: opts.progress.cloned(),
             deadline_at: limits.deadline.map(|d| started + d),
             overshoot_nanos: AtomicU64::new(0),
-            active: AtomicUsize::new(1),
             idle: AtomicUsize::new(0),
             worker_panics: AtomicU32::new(0),
             steals: AtomicU64::new(0),
@@ -924,26 +915,15 @@ impl<'a, M: Machine> Engine<'a, M> {
         }
     }
 
-    /// Attaches the checkpoint rendezvous (before workers start, after
-    /// a resumed visited set is rebuilt: the first periodic save is due
-    /// `every` admissions from here).
+    /// Attaches checkpointing (after a resumed visited set is rebuilt:
+    /// the first periodic save is due `every` admissions from here).
     fn with_checkpointing(mut self, sink: CkptSink<'a>) -> Self {
-        let workers = self.frontiers.len();
         let every = sink.cfg.every;
         self.ckpt = Some(CkptState {
             sink,
-            pause: AtomicBool::new(false),
-            parked: AtomicUsize::new(0),
-            next_at: AtomicUsize::new(if every == 0 {
-                usize::MAX
-            } else {
-                self.visited.len() + every
-            }),
+            next_at: if every == 0 { usize::MAX } else { self.visited.len() + every },
             written: AtomicU32::new(0),
             write_nanos: AtomicU64::new(0),
-            failed: AtomicBool::new(false),
-            error: Mutex::new(None),
-            published: (0..workers).map(|_| Mutex::new(WorkerResult::default())).collect(),
         });
         self
     }
@@ -1028,16 +1008,8 @@ impl<'a, M: Machine> Engine<'a, M> {
     }
 
     fn truncate(&self, reason: TruncationReason) {
-        match reason {
-            TruncationReason::MaxStates => self.capped.store(true, Ordering::Relaxed),
-            TruncationReason::Deadline => self.deadline_hit.store(true, Ordering::Relaxed),
-            TruncationReason::Resumable => self.resumable.store(true, Ordering::Relaxed),
-            TruncationReason::Cancelled => self.cancelled.store(true, Ordering::Relaxed),
-            // WorkerPanic is inferred at the end (work left + all dead),
-            // never raised mid-run: surviving workers may yet finish.
-            TruncationReason::WorkerPanic => {}
-        }
-        self.stop.store(true, Ordering::SeqCst);
+        let bit = RAISED.iter().position(|&r| r == reason).expect("only RAISED reasons are raised");
+        self.stop.fetch_or(1 << bit, Ordering::SeqCst);
     }
 
     /// Notes the clock ran `now - deadline` past the budget.
@@ -1095,109 +1067,11 @@ impl<'a, M: Machine> Engine<'a, M> {
         }
     }
 
-    /// Copies a worker's cumulative results into its published slot so
-    /// a checkpoint coordinator can merge them without joining the
-    /// thread.
-    fn publish(&self, worker: usize, out: &WorkerResult) {
-        if let Some(c) = &self.ckpt {
-            *lock_clean(&c.published[worker]) = out.clone();
-        }
-    }
-
-    /// `true` when a checkpoint rendezvous is requested or due, which
-    /// is when a worker must park its hot tail (it would otherwise
-    /// keep it out of the safepoint for an entire depth-first spine).
-    fn ckpt_pending(&self) -> bool {
-        self.ckpt.as_ref().is_some_and(|c| {
-            c.pause.load(Ordering::SeqCst)
-                || (c.sink.cfg.every != 0
-                    && !c.failed.load(Ordering::Relaxed)
-                    && self.visited.len() >= c.next_at.load(Ordering::Relaxed))
-        })
-    }
-
-    /// The loop-top safepoint of the checkpoint rendezvous: park if a
-    /// coordinator paused the fleet, or become the coordinator if the
-    /// periodic threshold was crossed. Called with no in-flight state,
-    /// which is what makes the resulting snapshot consistent.
-    fn ckpt_safepoint(&self, worker: usize, out: &WorkerResult, tel: &mut ProbeTelemetry) {
-        let Some(c) = &self.ckpt else { return };
-        loop {
-            if c.pause.load(Ordering::SeqCst) {
-                self.publish(worker, out);
-                // Snapshots read the shared counters while the fleet is
-                // parked: our batch must land first.
-                self.visited.flush_telemetry(tel);
-                c.parked.fetch_add(1, Ordering::SeqCst);
-                while c.pause.load(Ordering::SeqCst) {
-                    std::hint::spin_loop();
-                    std::thread::yield_now();
-                }
-                c.parked.fetch_sub(1, Ordering::SeqCst);
-                continue; // re-check: another save may begin immediately
-            }
-            if c.sink.cfg.every != 0
-                && !self.stop.load(Ordering::Relaxed)
-                && !c.failed.load(Ordering::Relaxed)
-                && self.visited.len() >= c.next_at.load(Ordering::Relaxed)
-            {
-                if c.pause.compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst).is_ok()
-                {
-                    self.visited.flush_telemetry(tel);
-                    self.coordinate(worker, c, out);
-                }
-                continue; // lost the race: loop around and park
-            }
-            return;
-        }
-    }
-
-    /// Runs one checkpoint as the elected coordinator: wait for every
-    /// other live worker to park, serialize the quiescent engine, then
-    /// release the fleet.
-    fn coordinate(&self, worker: usize, c: &CkptState<'a>, out: &WorkerResult) {
-        self.publish(worker, out);
-        // Workers either park (parked += 1) or retire (active -= 1);
-        // both make progress, so this terminates.
-        while c.parked.load(Ordering::SeqCst) + 1 < self.active.load(Ordering::SeqCst) {
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-        let wrote = Instant::now();
-        let n = c.written.fetch_add(1, Ordering::SeqCst) + 1;
-        match c.sink.write(&self.snapshot(None)) {
-            Ok(()) => {
-                c.write_nanos.fetch_add(nanos(wrote.elapsed()), Ordering::Relaxed);
-                c.next_at.store(self.visited.len() + c.sink.cfg.every, Ordering::SeqCst);
-                if c.sink.cfg.abort_after.is_some_and(|k| n >= k) {
-                    self.truncate(TruncationReason::Resumable);
-                }
-            }
-            Err(e) => {
-                *lock_clean(&c.error) = Some(e);
-                c.failed.store(true, Ordering::SeqCst);
-                // Checkpointing was requested and is broken: fail fast
-                // rather than run hours more with no crash tolerance.
-                self.stop.store(true, Ordering::SeqCst);
-            }
-        }
-        c.pause.store(false, Ordering::SeqCst);
-    }
-
     /// A consistent image of the engine, decoded back out of the exact
-    /// store. Callers guarantee quiescence (rendezvous mid-run, or all
-    /// workers joined at the end); every hot tail is parked in a deque at
-    /// those points, so the frontier below is exact.
+    /// store. Taken only between segments, when every worker has joined
+    /// and parked its hot tail in a deque, so the frontier below is
+    /// exact.
     fn snapshot(&self, truncation: Option<TruncationReason>) -> Snapshot<M::State> {
-        let mut outcomes = self.base.outcomes.clone();
-        let mut deadlocks = self.base.deadlocks;
-        if let Some(c) = &self.ckpt {
-            for slot in &c.published {
-                let r = lock_clean(slot);
-                outcomes.extend(r.outcomes.iter().cloned());
-                deadlocks += r.deadlocks as u64;
-            }
-        }
         let shards: Vec<Vec<M::State>> = (0..N_SHARDS)
             .map(|s| {
                 let mut v = Vec::new();
@@ -1216,12 +1090,31 @@ impl<'a, M: Machine> Engine<'a, M> {
             .flat_map(|f| lock_clean(f).iter().copied().collect::<Vec<_>>())
             .map(|id| self.decode_state(id))
             .collect();
-        Snapshot { outcomes, deadlocks, stats: self.stats(truncation), shards, frontier }
+        Snapshot {
+            outcomes: self.base.outcomes.clone(),
+            deadlocks: self.base.deadlocks,
+            stats: self.stats(truncation),
+            shards,
+            frontier,
+        }
     }
 
-    /// One worker's main loop. Worker 0 carries `peers`: the instant
-    /// its peers are due and the hook that starts them, called at the
-    /// first loop top past that instant.
+    /// Counts, builds and writes one checkpoint of the joined engine and
+    /// returns this leg's checkpoint count (0 when the run does not
+    /// checkpoint). The count comes first, so the checkpoint's own record
+    /// includes it.
+    fn save(&self, truncation: Option<TruncationReason>) -> Result<u32, CheckpointError> {
+        let Some(c) = &self.ckpt else { return Ok(0) };
+        let wrote = Instant::now();
+        let n = c.written.fetch_add(1, Ordering::Relaxed) + 1;
+        c.sink.write(&self.snapshot(truncation))?;
+        c.write_nanos.fetch_add(nanos(wrote.elapsed()), Ordering::Relaxed);
+        Ok(n)
+    }
+
+    /// One worker's main loop, for one segment of the run. Worker 0
+    /// carries `peers`: the instant its peers are due and the hook that
+    /// starts them, called at the first loop top past that instant.
     fn run_worker(
         &self,
         worker: usize,
@@ -1242,8 +1135,8 @@ impl<'a, M: Machine> Engine<'a, M> {
         // `Machine::successors_into` so steady-state expansion reuses
         // their heap allocations instead of cloning fresh.
         let mut pool: Vec<M::State> = Vec::new();
-        // Probe counters batch locally and flush at the quiescence
-        // points (park, retire): three shared `fetch_add`s per arc
+        // Probe counters batch locally and flush at progress ticks and
+        // when the worker retires: three shared `fetch_add`s per arc
         // would ping-pong one cache line between every worker.
         let mut tel = ProbeTelemetry::default();
         let mut until_deadline_check = DEADLINE_CHECK_EVERY;
@@ -1256,14 +1149,15 @@ impl<'a, M: Machine> Engine<'a, M> {
                     start();
                 }
             }
-            // Park the hot tail before stopping or entering a
-            // rendezvous: snapshots must see it in the frontier, and a
-            // coordinator must not wait on a worker that never reaches
-            // the safepoint because its hot tail keeps refilling.
-            if !hot.is_empty() && (self.stop.load(Ordering::Relaxed) || self.ckpt_pending()) {
-                let all = hot.len();
-                self.park_hot(worker, &mut hot, &mut pool, all);
-            } else if hot.len() > 1
+            // A due periodic save ends the segment like a truncation:
+            // every worker leaves here, and `run` saves once they joined.
+            if self.ckpt.as_ref().is_some_and(|c| self.visited.len() >= c.next_at) {
+                self.stop.fetch_or(SAVE, Ordering::SeqCst);
+            }
+            if self.stop.load(Ordering::Relaxed) != 0 {
+                break; // the exit path parks the hot tail
+            }
+            if hot.len() > 1
                 && self.idle.load(Ordering::Relaxed) > 0
                 && lock_clean(&self.frontiers[worker]).is_empty()
             {
@@ -1275,15 +1169,9 @@ impl<'a, M: Machine> Engine<'a, M> {
                 let half = hot.len() / 2;
                 self.park_hot(worker, &mut hot, &mut pool, half);
             }
-            if hot.is_empty() {
-                self.ckpt_safepoint(worker, &out, &mut tel);
-                if self.stop.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
             if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                 self.truncate(TruncationReason::Cancelled);
-                continue; // loop top parks the hot tail, then breaks
+                break;
             }
             let (id, pre) = match hot.pop_back() {
                 Some((id, s)) => (id, Some(s)),
@@ -1373,16 +1261,11 @@ impl<'a, M: Machine> Engine<'a, M> {
         if idle {
             self.idle.fetch_sub(1, Ordering::Relaxed);
         }
-        // Any hot tail survives the break paths above; park it so peers
-        // (or the final snapshot) pick it up.
+        // Any hot tail survives the break paths above; park it so peers,
+        // the next segment or the snapshot pick it up.
         let all = hot.len();
         self.park_hot(worker, &mut hot, &mut pool, all);
-        // Retire: publish final results *before* leaving the active
-        // set, so a coordinator that stops waiting for us still sees
-        // everything we found.
         self.visited.flush_telemetry(&mut tel);
-        self.publish(worker, &out);
-        self.active.fetch_sub(1, Ordering::SeqCst);
         out
     }
 
@@ -1471,18 +1354,14 @@ impl<'a, M: Machine> Engine<'a, M> {
     /// Why the run stopped early, if it did — called after the workers
     /// joined (quiescent).
     fn truncation(&self) -> Option<TruncationReason> {
-        if self.capped.load(Ordering::Relaxed) {
-            Some(TruncationReason::MaxStates)
-        } else if self.deadline_hit.load(Ordering::Relaxed) {
-            Some(TruncationReason::Deadline)
-        } else if self.cancelled.load(Ordering::Relaxed) {
-            Some(TruncationReason::Cancelled)
-        } else if self.resumable.load(Ordering::Relaxed) {
-            Some(TruncationReason::Resumable)
+        let raised = self.stop.load(Ordering::Relaxed) & !SAVE;
+        if raised != 0 {
+            Some(RAISED[raised.trailing_zeros() as usize])
         } else if self.pending.load(Ordering::SeqCst) != 0 {
             // Work was queued but nobody is left to run it: every
-            // worker died to a panic. The visited set is intact and the
-            // collected outcomes are a valid lower bound.
+            // worker of the last segment died to a panic. The visited
+            // set is intact and the collected outcomes are a valid lower
+            // bound.
             debug_assert!(self.worker_panics.load(Ordering::Relaxed) > 0);
             Some(TruncationReason::WorkerPanic)
         } else {
@@ -1525,34 +1404,33 @@ impl<'a, M: Machine> Engine<'a, M> {
         }
     }
 
-    /// Folds up the joined run. A checkpointed run first surfaces any
-    /// mid-run save failure and writes its final checkpoint, so
-    /// deadline/cap-truncated and even completed runs are resumable.
-    /// The returned record is also the sink's closing publication.
-    fn finish(self, results: Vec<WorkerResult>) -> Result<Exploration, CheckpointError> {
-        let truncation = self.truncation();
-        if let Some(c) = &self.ckpt {
-            if c.failed.load(Ordering::Relaxed) {
-                return Err(lock_clean(&c.error)
-                    .take()
-                    .unwrap_or(CheckpointError::Malformed("checkpoint write failed")));
-            }
-            let wrote = Instant::now();
-            c.written.fetch_add(1, Ordering::Relaxed);
-            c.sink.write(&self.snapshot(truncation))?;
-            c.write_nanos.fetch_add(nanos(wrote.elapsed()), Ordering::Relaxed);
+    /// Folds a joined segment's worker results into the run's.
+    fn absorb(&mut self, results: Vec<WorkerResult>) {
+        for r in results {
+            self.base.outcomes.extend(r.outcomes);
+            self.base.deadlocks += r.deadlocks as u64;
         }
+    }
+
+    /// Folds up the joined run. A checkpointed run first writes its final
+    /// checkpoint, so deadline/cap-truncated and even completed runs are
+    /// resumable. The returned record is also the sink's closing
+    /// publication.
+    fn finish(self) -> Result<Exploration, CheckpointError> {
+        let truncation = self.truncation();
+        self.save(truncation)?;
         let stats = self.stats(truncation);
         if let Some(p) = &self.progress {
             p.publish(stats);
         }
-        let mut outcomes = self.base.outcomes.clone();
-        let mut deadlocks = usize::try_from(self.base.deadlocks).unwrap_or(usize::MAX);
-        for r in results {
-            outcomes.extend(r.outcomes);
-            deadlocks += r.deadlocks;
-        }
-        Ok(Exploration { outcomes, states: stats.distinct_states, deadlocks, truncation, stats })
+        let deadlocks = usize::try_from(self.base.deadlocks).unwrap_or(usize::MAX);
+        Ok(Exploration {
+            outcomes: self.base.outcomes,
+            states: stats.distinct_states,
+            deadlocks,
+            truncation,
+            stats,
+        })
     }
 }
 
@@ -1589,8 +1467,22 @@ pub fn run<M: Machine>(
         None => engine.seed_root(),
     }
     engine.setup = engine.started.elapsed();
-    let results = run_workers(&engine, workers);
-    engine.finish(results)
+    loop {
+        engine.absorb(run_workers(&engine, workers));
+        if *engine.stop.get_mut() != SAVE {
+            return engine.finish();
+        }
+        // Only a periodic save stopped this segment, and every worker
+        // has joined: save, then run the next one.
+        let n = engine.save(None)?;
+        let c = engine.ckpt.as_mut().expect("only a checkpointed run saves");
+        if c.sink.cfg.abort_after.is_some_and(|k| n >= k) {
+            engine.truncate(TruncationReason::Resumable);
+            return engine.finish();
+        }
+        c.next_at = engine.visited.len() + c.sink.cfg.every;
+        *engine.stop.get_mut() = 0;
+    }
 }
 
 /// [`run`] with no options: not cancellable, unmonitored, not
@@ -1605,19 +1497,18 @@ pub fn explore<M: Machine>(machine: &M, prog: &Program, limits: Limits) -> Explo
 /// repay them finishes on the calling thread alone.
 const PEERS_AFTER: Duration = Duration::from_micros(50);
 
-/// Runs worker 0 on the calling thread and its peers on scoped threads,
-/// started on demand: once worker 0 has run for [`PEERS_AFTER`], or at
-/// once if it retires while work is still pending (it died to a panic)
-/// and nothing stopped the run. `join` cannot fail: worker panics are
-/// absorbed inside [`Engine::run_worker`], never propagated to the
-/// scope.
+/// Runs one segment: worker 0 on the calling thread and its peers on
+/// scoped threads, started on demand: once worker 0 has run for
+/// [`PEERS_AFTER`], or at once if it retires while work is still pending
+/// (it died to a panic) and nothing stopped the run. `join` cannot fail:
+/// worker panics are absorbed inside [`Engine::run_worker`], never
+/// propagated to the scope.
 fn run_workers<M: Machine>(engine: &Engine<'_, M>, workers: usize) -> Vec<WorkerResult> {
     if workers == 1 {
         return vec![engine.run_worker(0, None)];
     }
     std::thread::scope(|scope| {
         let spawn = |peers: &mut Vec<_>| {
-            engine.active.fetch_add(workers - 1, Ordering::SeqCst);
             peers.extend((1..workers).map(|w| scope.spawn(move || engine.run_worker(w, None))));
         };
         let mut peers = Vec::new();
@@ -1625,7 +1516,7 @@ fn run_workers<M: Machine>(engine: &Engine<'_, M>, workers: usize) -> Vec<Worker
         let first = engine.run_worker(0, Some((Instant::now() + PEERS_AFTER, &mut start)));
         if peers.is_empty()
             && engine.pending.load(Ordering::SeqCst) != 0
-            && !engine.stop.load(Ordering::SeqCst)
+            && engine.stop.load(Ordering::SeqCst) == 0
         {
             spawn(&mut peers);
         }
@@ -1969,19 +1860,24 @@ mod tests {
     /// A run suspended at every periodic checkpoint and resumed to
     /// completion counts every checkpoint it wrote, across all its
     /// legs, and its cumulative counters equal an uninterrupted run's:
-    /// a suspension parks every worker at a safepoint, so no state is
-    /// expanded twice.
+    /// a suspension joins every worker at a segment boundary, so no
+    /// state is expanded twice. So does one leg that saves at many
+    /// segment boundaries without suspending.
     #[test]
     fn a_resumed_run_counts_every_checkpoint_and_keeps_its_counters() {
         use crate::machines::WoDef2Machine;
         let (machine, lit) = (WoDef2Machine::default(), litmus::iriw());
-        for (limits, every) in [(Limits::with_threads(2), 1_000), (Limits::reduced(), 100)] {
+        for (limits, every, abort_after) in [
+            (Limits::with_threads(2), 1_000, Some(1)),
+            (Limits::reduced(), 100, Some(1)),
+            (Limits::with_threads(2), 100, None),
+        ] {
             let clean = explore(&machine, &lit.program, limits);
             let store = Arc::new(CountingStore::default());
             let cfg = CheckpointCfg {
                 dir: "ckpt".into(),
                 every,
-                abort_after: Some(1),
+                abort_after,
                 store: Some(store.clone()),
             };
             let leg = |checkpoint| {
@@ -1994,8 +1890,13 @@ mod tests {
                 ex = leg(Checkpoint::Resume(&cfg));
                 legs += 1;
             }
-            let what = format!("{:?} after {legs} legs", limits.reduction);
-            assert!(legs > 2, "{what}: the run must really be suspended");
+            let what = format!("{:?} every {every} after {legs} legs", limits.reduction);
+            if abort_after.is_some() {
+                assert!(legs > 2, "{what}: the run must really be suspended");
+            } else {
+                assert_eq!(legs, 1, "{what}");
+                assert!(ex.stats.checkpoints > 100, "{what}: {} saves", ex.stats.checkpoints);
+            }
             assert_eq!(ex, clean, "{what}");
             assert_eq!(ex.stats.checkpoints, store.writes.load(Ordering::SeqCst), "{what}");
             let counters = |s: &ExplorationStats| {

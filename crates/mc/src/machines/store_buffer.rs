@@ -92,8 +92,8 @@ pub struct NetReorderMachine;
 ///
 /// The FIFOs are `Vec`s, not `VecDeque`s: they hold a few entries, so
 /// retiring the oldest is a short shift, while every successor clones
-/// every queue, and a `Vec` clones by one copy. Both encode the same
-/// bytes.
+/// every queue, and a `Vec` clones by one copy. It encodes the same
+/// bytes the `VecDeque`s did.
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub struct SbState<Q> {
     /// Architectural thread states.

@@ -418,8 +418,9 @@ impl VisitedSet {
     }
 
     /// Adds `tel` to the shared counters and resets it. Call when a
-    /// worker retires or parks for a rendezvous (checkpoint snapshots
-    /// read the shared counters while workers are parked).
+    /// worker retires (checkpoint snapshots and the result read the
+    /// shared counters once every worker has joined) and before a
+    /// progress publication reads them.
     pub fn flush_telemetry(&self, tel: &mut ProbeTelemetry) {
         if tel.probes != 0 || tel.steps != 0 {
             self.dedup_probes.fetch_add(tel.probes, Ordering::Relaxed);

@@ -271,10 +271,14 @@ fn transient_worker_panic_degrades_without_losing_states() {
 }
 
 /// When every worker dies, the run still neither aborts the process nor
-/// deadlocks: it returns a lower bound marked `WorkerPanic`.
+/// deadlocks: it returns a lower bound marked `WorkerPanic`. Periodic
+/// saves do not keep a dying run alive: each one needs `every` new
+/// admissions, and the workers of the last segment all die.
 #[test]
 fn total_worker_death_reports_worker_panic_truncation() {
     let prog = litmus::iriw().program;
+    let dir = tmp_ckpt_dir("total-death");
+    let cfg = CheckpointCfg::every(&dir, 3);
     for threads in [1, 2, 4] {
         let m = PanickyMachine::new(25, false);
         let ex = explore(&m, &prog, Limits::with_threads(threads));
@@ -282,7 +286,14 @@ fn total_worker_death_reports_worker_panic_truncation() {
         assert!(ex.truncated());
         assert_eq!(ex.stats.worker_panics as usize, threads, "every worker died once");
         assert!(ex.states > 0, "the partial visited set survives the panics");
+        let m = PanickyMachine::new(25, false);
+        let ex = leg(&m, &prog, Limits::with_threads(threads), &cfg, false).expect("checkpoint IO");
+        let what = format!("checkpointed, {threads} threads");
+        assert_eq!(ex.stats.truncation, Some(TruncationReason::WorkerPanic), "{what}");
+        assert_eq!(ex.stats.worker_panics as usize, threads, "{what}: every worker died once");
+        assert!(ex.stats.checkpoints > 1, "{what}: {} checkpoints", ex.stats.checkpoints);
     }
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A panic mid-run does not poison the shard locks for a later pass:
